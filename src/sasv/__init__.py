@@ -1,6 +1,6 @@
 """Spoofing-aware speaker verification: score integration, baselines, benchmarks."""
 
-from .core import (DataError, Embedding, EmbeddingStore, NumericError, Protocol,
+from .core import (DataError, EmbeddingStore, NumericError, Protocol,
                    ScoreRecord, Trial, TrialLabel, cosine, length_normalize,
                    load_embeddings, load_protocol, save_embeddings, save_protocol)
 from .loss import OneClassSoftmaxConfig, one_class_softmax
@@ -11,7 +11,7 @@ from .training import TrainConfig, TrainResult, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "DataError", "Embedding", "EmbeddingStore", "NumericError", "Protocol",
+    "DataError", "EmbeddingStore", "NumericError", "Protocol",
     "ScoreRecord", "Trial", "TrialLabel", "cosine", "length_normalize",
     "load_embeddings", "load_protocol", "save_embeddings", "save_protocol",
     "OneClassSoftmaxConfig", "one_class_softmax",

@@ -14,13 +14,14 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .core import (DataError, EmbeddingStore, Protocol, ScoreRecord, TrialLabel,
-                   cosine)
+                   check_protocol_ids, sv_scores)
 from .loss import sigmoid
 from .metrics import eer
-from .model import InputMode, IntegrationModel
+from .model import IntegrationModel, spoof_scores_for
 from .training import AdamState, adam_step
 
 BASELINE_KINDS = ("sum", "cascade", "logreg")
+CASCADE_FLOOR = -2.0  # the score of a CM-gated trial, below the cosine range [-1, 1]
 
 
 def load_cm_scores(path: str) -> dict[str, float]:
@@ -47,52 +48,41 @@ def load_cm_scores(path: str) -> dict[str, float]:
     return table
 
 
+@dataclass
 class CmScoreSource:
-    """Uniform lookup of per-utterance CM scores."""
+    """Per-utterance CM scores, from a score table or from a trained model."""
 
-    def __init__(self, lookup, label: str):
-        self._lookup = lookup
-        self.label = label
+    table: dict[str, float] | None = None
+    model: IntegrationModel | None = None
+    stores: tuple[EmbeddingStore, EmbeddingStore] | None = None
 
     @classmethod
     def from_table(cls, table: dict[str, float]) -> "CmScoreSource":
-        def lookup(test_id: str) -> float:
-            try:
-                return table[test_id]
-            except KeyError:
-                raise DataError(f"no CM score for test id {test_id!r}") from None
-
-        return cls(lookup, "score file")
+        return cls(table=table)
 
     @classmethod
     def from_model(cls, model: IntegrationModel, sv_store: EmbeddingStore,
                    cm_store: EmbeddingStore) -> "CmScoreSource":
-        if model.mode is InputMode.CONCAT_PLUS_ENROLL:
+        if model.mode.uses_enrollment:
             raise DataError(
                 "a concat_plus_enroll model conditions on the enrollment, its "
                 "spoofing score is not a per-utterance CM score"
             )
-        cache: dict[str, float] = {}
-
-        def lookup(test_id: str) -> float:
-            if test_id not in cache:
-                x = model.assemble_input(
-                    np.empty(0), sv_store.vector(test_id), cm_store.vector(test_id)
-                )
-                cache[test_id] = float(model.spoof_scores(x[None, :])[0])
-            return cache[test_id]
-
-        return cls(lookup, "cm model")
+        return cls(model=model, stores=(sv_store, cm_store))
 
     def scores_for(self, protocol: Protocol) -> np.ndarray:
-        return np.array([self._lookup(t.test_id) for t in protocol.trials])
+        if self.model is not None:
+            sv_store, cm_store = self.stores
+            rows = check_protocol_ids(protocol, sv_store, cm_store)
+            return spoof_scores_for(self.model, rows, sv_store, cm_store)
+        try:
+            return np.array([self.table[t.test_id] for t in protocol.trials])
+        except KeyError as exc:
+            raise DataError(f"no CM score for test id {exc.args[0]!r}") from None
 
 
 def sv_scores_for(protocol: Protocol, sv_store: EmbeddingStore) -> np.ndarray:
-    out = np.empty(len(protocol))
-    for i, t in enumerate(protocol.trials):
-        out[i] = cosine(sv_store.vector(t.enroll_id), sv_store.vector(t.test_id))
-    return out
+    return sv_scores(check_protocol_ids(protocol, sv_store, None), sv_store)
 
 
 def sum_fusion(s_sv, s_cm) -> np.ndarray:
@@ -100,12 +90,11 @@ def sum_fusion(s_sv, s_cm) -> np.ndarray:
 
 
 def cascade_scores(s_sv, s_cm, tau: float) -> np.ndarray:
-    """CM gate then SV: trials with s_cm below tau get a floor score one below
-    the smallest SV score in the set, everything else passes through with s_sv."""
+    """CM gate then SV: trials with s_cm below tau get CASCADE_FLOOR, below
+    every clamped cosine, everything else passes through with s_sv."""
     s_sv = np.asarray(s_sv, dtype=np.float64)
     s_cm = np.asarray(s_cm, dtype=np.float64)
-    floor = float(s_sv.min()) - 1.0
-    return np.where(s_cm < tau, floor, s_sv)
+    return np.where(s_cm < tau, CASCADE_FLOOR, s_sv)
 
 
 def _sasv_eer_of(scores: np.ndarray, is_target: np.ndarray) -> float:
@@ -184,10 +173,8 @@ def baseline_records(kind: str, protocol: Protocol, s_sv: np.ndarray,
         fused = fitted.probability(s_sv, s_cm)
     else:
         raise DataError(f"unknown baseline kind {kind!r}, expected {BASELINE_KINDS}")
-    return [
-        ScoreRecord(t, float(s_sv[i]), float(s_cm[i]), float(fused[i]))
-        for i, t in enumerate(protocol.trials)
-    ]
+    return [ScoreRecord(t, float(a), float(b), float(c))
+            for t, a, b, c in zip(protocol.trials, s_sv, s_cm, fused)]
 
 
 def logreg_to_checkpoint(fitted: LogisticFusion) -> Checkpoint:
@@ -195,18 +182,5 @@ def logreg_to_checkpoint(fitted: LogisticFusion) -> Checkpoint:
                       arrays={"weight": fitted.weight, "bias": np.array(fitted.bias)})
 
 
-def logreg_from_checkpoint(ckpt: Checkpoint) -> LogisticFusion:
-    if ckpt.kind != "logreg":
-        raise DataError(f"expected a logreg checkpoint, got {ckpt.kind!r}")
-    return LogisticFusion(weight=ckpt.arrays["weight"].copy(),
-                          bias=float(ckpt.arrays["bias"]))
-
-
 def cascade_to_checkpoint(tau: float) -> Checkpoint:
     return Checkpoint(kind="cascade", meta={}, arrays={"tau": np.array(tau)})
-
-
-def cascade_from_checkpoint(ckpt: Checkpoint) -> float:
-    if ckpt.kind != "cascade":
-        raise DataError(f"expected a cascade checkpoint, got {ckpt.kind!r}")
-    return float(ckpt.arrays["tau"])

@@ -104,7 +104,10 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
     arrays: dict[str, np.ndarray] = {}
     for _ in range(n_arrays):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError("checkpoint array name is not UTF-8") from None
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I") if ndim else ()
         count = int(np.prod(shape)) if shape else 1

@@ -152,8 +152,7 @@ def cmd_eval(args) -> int:
                  "--cm-emb and --eval-protocol")
         model, sv_store, cm_store = _load_model_and_stores(args)
         protocol = load_protocol(args.eval_protocol, "eval")
-        records = score_protocol(model, protocol, sv_store, cm_store,
-                                 threads=args.threads)
+        records = score_protocol(model, protocol, sv_store, cm_store)
         os.makedirs(args.out, exist_ok=True)
         metrics.export_scores(records, os.path.join(args.out, "scores.csv"))
     report = metrics.sasv_report(records, args.score_field)
@@ -166,8 +165,7 @@ def cmd_eval(args) -> int:
 def cmd_score(args) -> int:
     model, sv_store, cm_store = _load_model_and_stores(args)
     protocol = load_protocol(args.eval_protocol, "eval")
-    records = score_protocol(model, protocol, sv_store, cm_store,
-                             threads=args.threads)
+    records = score_protocol(model, protocol, sv_store, cm_store)
     os.makedirs(args.out, exist_ok=True)
     metrics.export_scores(records, os.path.join(args.out, "scores.csv"))
     _write_sidecar(args.out, "score", args)
@@ -301,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--score-field", default="s_sasv",
                     choices=list(metrics.SCORE_FIELDS))
     ev.add_argument("--normalize-embeddings", choices=["on", "off"])
-    ev.add_argument("--threads", type=int, default=1)
     ev.add_argument("--out", required=True)
     ev.set_defaults(func=cmd_eval)
 
@@ -311,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--eval-protocol", "--protocol", dest="eval_protocol",
                     required=True)
     sc.add_argument("--normalize-embeddings", choices=["on", "off"])
-    sc.add_argument("--threads", type=int, default=1)
     sc.add_argument("--out", required=True)
     sc.set_defaults(func=cmd_score)
 
@@ -356,8 +352,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _setup_logging()
-        if getattr(args, "threads", 1) < 1:
-            raise UsageError("--threads must be >= 1")
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"sasv: error: {exc}\n")

@@ -8,8 +8,10 @@ File formats are plain UTF-8 text with LF line endings:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,9 +72,6 @@ class Protocol:
     def __len__(self) -> int:
         return len(self.trials)
 
-    def __iter__(self):
-        return iter(self.trials)
-
     def counts(self) -> dict[TrialLabel, int]:
         out = {label: 0 for label in TrialLabel}
         for t in self.trials:
@@ -80,61 +79,85 @@ class Protocol:
         return out
 
 
-@dataclass(frozen=True)
-class Embedding:
-    id: str
-    values: np.ndarray
+# ids that an embedding file cannot hold: a field or line break, a lone
+# surrogate (not UTF-8), or a comment marker after leading whitespace
+_UNSAVABLE_ID = re.compile(r"[\t\n\r\ud800-\udfff]|^\s*#")
 
 
 class EmbeddingStore:
-    """In-memory id -> vector map for one subsystem ('sv' or 'cm').
+    """One subsystem's embeddings ('sv' or 'cm'): a dense [N, D] float64 matrix
+    plus an id -> row dict, rows in insertion order.
 
-    Vectors are float64 and flagged read-only once added; the store never
-    mutates after loading.
+    `matrix` and every vector handed out are read-only views; rows are only
+    ever appended. An id must be one `save_embeddings` can write back.
     """
 
-    def __init__(self, kind: str, dimension: int | None = None):
+    def __init__(self, kind: str):
         if kind not in ("sv", "cm"):
             raise DataError(f"embedding store kind must be 'sv' or 'cm', got {kind!r}")
         self.kind = kind
-        self.dimension = dimension
-        self._entries: dict[str, np.ndarray] = {}
+        self.dimension: int | None = None
+        self.index: dict[str, int] = {}
+        self._data = np.empty((0, 0))
 
     def add(self, utt_id: str, values) -> None:
-        if utt_id in self._entries:
+        if utt_id in self.index:
             raise DataError(f"duplicate embedding id {utt_id!r} in {self.kind} store")
-        vec = np.array(values, dtype=np.float64)
+        if not utt_id or _UNSAVABLE_ID.search(utt_id):
+            raise DataError(f"embedding id {utt_id!r} is empty, holds a tab, line break "
+                            "or surrogate, or starts with '#'")
+        vec = np.asarray(values, dtype=np.float64)
         if vec.ndim != 1 or vec.size == 0:
             raise DataError(f"embedding {utt_id!r} must be a non-empty 1-D vector")
         if not np.all(np.isfinite(vec)):
             raise DataError(f"embedding {utt_id!r} contains a non-finite value")
         if self.dimension is None:
             self.dimension = vec.size
+            self._data = np.empty((0, vec.size))
         elif vec.size != self.dimension:
             raise DataError(
                 f"embedding {utt_id!r} has dimension {vec.size}, "
                 f"store expects {self.dimension}"
             )
-        vec.setflags(write=False)
-        self._entries[utt_id] = vec
+        row = len(self.index)
+        if row == self._data.shape[0]:  # grow geometrically: add stays amortized O(D)
+            grown = np.empty((max(16, 2 * row), self.dimension))
+            grown[:row] = self._data[:row]
+            self._data = grown
+        self._data[row] = vec
+        self.index[utt_id] = row
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The [N, D] embeddings, row i belonging to the i-th id added."""
+        view = self._data[:len(self.index)]
+        view.setflags(write=False)
+        return view
 
     def vector(self, utt_id: str) -> np.ndarray:
         try:
-            return self._entries[utt_id]
+            return self.matrix[self.index[utt_id]]
         except KeyError:
             raise DataError(f"id {utt_id!r} not found in {self.kind} embedding store") from None
 
     def __contains__(self, utt_id: str) -> bool:
-        return utt_id in self._entries
+        return utt_id in self.index
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def ids(self):
-        return self._entries.keys()
+        return len(self.index)
 
     def items(self):
-        return self._entries.items()
+        """(id, vector) pairs in insertion order, which is row order."""
+        return zip(self.index, self.matrix)
+
+
+class TrialRows(NamedTuple):
+    """A protocol resolved to store rows: the enrollment and test ids in the
+    SV store, the test id in the CM store (None when no CM store was given)."""
+
+    enroll: np.ndarray
+    test: np.ndarray
+    test_cm: np.ndarray | None
 
 
 def length_normalize(values: np.ndarray) -> np.ndarray:
@@ -146,19 +169,21 @@ def length_normalize(values: np.ndarray) -> np.ndarray:
     return vec / norm
 
 
-def cosine(a, b) -> float:
-    """Cosine similarity with float64 accumulation, clamped to [-1, 1].
-
-    Raises NumericError if either vector has zero norm.
-    """
+def cosine_rows(a, b) -> np.ndarray:
+    """Row-wise cosine similarity of two [N, D] arrays, clamped to [-1, 1].
+    A row's value depends on that row alone. Zero-norm rows are a NumericError."""
     av = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
-    na = float(np.linalg.norm(av))
-    nb = float(np.linalg.norm(bv))
-    if na == 0.0 or nb == 0.0:
+    na = np.sqrt((av * av).sum(axis=1))
+    nb = np.sqrt((bv * bv).sum(axis=1))
+    if np.any(na == 0.0) or np.any(nb == 0.0):
         raise NumericError("cosine of a zero-norm vector is undefined")
-    score = float(np.dot(av, bv) / (na * nb))
-    return min(1.0, max(-1.0, score))
+    return np.clip((av * bv).sum(axis=1) / (na * nb), -1.0, 1.0)
+
+
+def cosine(a, b) -> float:
+    """Cosine similarity of two vectors: the one-row case of `cosine_rows`."""
+    return float(cosine_rows(np.atleast_2d(a), np.atleast_2d(b))[0])
 
 
 def _data_lines(path: str):
@@ -211,10 +236,7 @@ def load_embeddings(path: str, kind: str, normalize: bool = False) -> EmbeddingS
 def save_embeddings(store: EmbeddingStore, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for utt_id, vec in store.items():
-            fh.write(utt_id)
-            fh.write("\t")
-            fh.write(" ".join(repr(float(v)) for v in vec))
-            fh.write("\n")
+            fh.write(f"{utt_id}\t{' '.join(map(repr, vec.tolist()))}\n")
 
 
 def load_protocol(path: str, name: str = "") -> Protocol:
@@ -246,8 +268,9 @@ def save_protocol(protocol: Protocol, path: str) -> None:
 
 
 def check_protocol_ids(protocol: Protocol, sv_store: EmbeddingStore,
-                       cm_store: EmbeddingStore | None) -> None:
-    """Verify every trial resolves: enroll in the SV store, test in SV and CM stores."""
+                       cm_store: EmbeddingStore | None) -> TrialRows:
+    """Resolve every trial to store rows: enroll in the SV store, test in the
+    SV and CM stores. The first id that does not resolve is a DataError."""
     for idx, t in enumerate(protocol.trials, start=1):
         if t.enroll_id not in sv_store:
             raise DataError(
@@ -257,3 +280,13 @@ def check_protocol_ids(protocol: Protocol, sv_store: EmbeddingStore,
             raise DataError(f"trial {idx}: test id {t.test_id!r} missing from sv store")
         if cm_store is not None and t.test_id not in cm_store:
             raise DataError(f"trial {idx}: test id {t.test_id!r} missing from cm store")
+    sv, trials = sv_store.index, protocol.trials
+    test_cm = None if cm_store is None else [cm_store.index[t.test_id] for t in trials]
+    return TrialRows(np.array([sv[t.enroll_id] for t in trials], dtype=np.intp),
+                     np.array([sv[t.test_id] for t in trials], dtype=np.intp),
+                     None if test_cm is None else np.array(test_cm, dtype=np.intp))
+
+
+def sv_scores(rows: TrialRows, sv_store: EmbeddingStore) -> np.ndarray:
+    """The frozen SV cosine of each resolved trial."""
+    return cosine_rows(sv_store.matrix[rows.enroll], sv_store.matrix[rows.test])

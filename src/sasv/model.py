@@ -11,17 +11,21 @@ what the net sees: test SV + test CM embeddings (concat), the CM embedding
 alone (cm_only), or both plus the enrollment embedding (concat_plus_enroll).
 In the first two modes s_spf is by construction a function of the test
 utterance only.
+
+A trial's scores depend on that trial alone: the SV cosine is row-wise, and
+the net always runs in eval mode on calls of exactly SCORE_BATCH rows, a call
+shape at which each output row's bits are independent of its neighbours
+(tests/test_properties.py checks this on the BLAS in use).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
 
 import numpy as np
 
-from .core import (DataError, EmbeddingStore, Protocol, ScoreRecord, Trial,
-                   check_protocol_ids, cosine)
+from .core import (DataError, EmbeddingStore, Protocol, ScoreRecord, TrialRows,
+                   check_protocol_ids, sv_scores)
 from .neuralnet import (BatchNormLayer, CosineHead, GradientTape, LeakyReluLayer,
                         LinearLayer)
 
@@ -92,26 +96,16 @@ class IntegrationModel:
         params["sv_weight"] = self.sv_weight
         return params
 
-    def assemble_input(self, enroll_vec: np.ndarray, test_sv: np.ndarray,
-                       test_cm: np.ndarray) -> np.ndarray:
-        if self.mode is InputMode.CONCAT:
-            return np.concatenate([test_sv, test_cm])
+    def assemble_batch(self, rows: TrialRows, sv_store: EmbeddingStore,
+                       cm_store: EmbeddingStore) -> np.ndarray:
+        """Stack the network inputs [N, input_dim] of resolved trials."""
+        test_cm = cm_store.matrix[rows.test_cm]
         if self.mode is InputMode.CM_ONLY:
-            return np.asarray(test_cm, dtype=np.float64)
-        return np.concatenate([test_sv, test_cm, enroll_vec])
-
-    def assemble_batch(self, trials: list[Trial], sv_store: EmbeddingStore,
-                       cm_store: EmbeddingStore) -> tuple[np.ndarray, np.ndarray]:
-        """Stack network inputs and compute the frozen SV cosines for a trial list."""
-        rows = []
-        s_sv = np.empty(len(trials))
-        for i, t in enumerate(trials):
-            enroll = sv_store.vector(t.enroll_id)
-            test_sv = sv_store.vector(t.test_id)
-            test_cm = cm_store.vector(t.test_id)
-            rows.append(self.assemble_input(enroll, test_sv, test_cm))
-            s_sv[i] = cosine(enroll, test_sv)
-        return np.stack(rows), s_sv
+            return test_cm
+        parts = [sv_store.matrix[rows.test], test_cm]
+        if self.mode is InputMode.CONCAT_PLUS_ENROLL:
+            parts.append(sv_store.matrix[rows.enroll])
+        return np.concatenate(parts, axis=1)
 
     def spoof_scores(self, x: np.ndarray, tape: GradientTape | None = None) -> np.ndarray:
         """Forward [N, input_dim] -> s_spf [N]. tape=None runs in eval mode."""
@@ -130,34 +124,33 @@ class IntegrationModel:
         return float(self.sv_weight) * np.asarray(s_sv) + np.asarray(s_spf)
 
 
-def _score_chunk(model: IntegrationModel, trials: list[Trial],
-                 sv_store: EmbeddingStore, cm_store: EmbeddingStore) -> list[ScoreRecord]:
-    x, s_sv = model.assemble_batch(trials, sv_store, cm_store)
-    s_spf = model.spoof_scores(x)
-    s_sasv = model.fuse(s_sv, s_spf)
-    return [
-        ScoreRecord(t, float(s_sv[i]), float(s_spf[i]), float(s_sasv[i]))
-        for i, t in enumerate(trials)
-    ]
+def spoof_scores_for(model: IntegrationModel, rows: TrialRows,
+                     sv_store: EmbeddingStore, cm_store: EmbeddingStore) -> np.ndarray:
+    """s_spf of each resolved trial, in eval mode.
+
+    The net runs once per distinct input -- per test utterance, or per
+    (enrollment, test) pair when the mode uses the enrollment -- on chunks of
+    exactly SCORE_BATCH rows, the last one padded by repeating its last row,
+    and the results are gathered back to the trials.
+    """
+    if len(rows.test) == 0:
+        raise DataError("cannot score an empty protocol")
+    keys = (np.stack([rows.enroll, rows.test], axis=1) if model.mode.uses_enrollment
+            else rows.test)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    x = model.assemble_batch(TrialRows(*(r[first] for r in rows)), sv_store, cm_store)
+    x = np.concatenate([x, np.repeat(x[-1:], -len(x) % SCORE_BATCH, axis=0)])
+    s_spf = np.concatenate([model.spoof_scores(x[i:i + SCORE_BATCH])
+                            for i in range(0, len(x), SCORE_BATCH)])
+    return s_spf[inverse]
 
 
 def score_protocol(model: IntegrationModel, protocol: Protocol,
-                   sv_store: EmbeddingStore, cm_store: EmbeddingStore,
-                   threads: int = 1) -> list[ScoreRecord]:
-    """Score every trial in eval mode, in protocol order.
-
-    Chunking is fixed at SCORE_BATCH rows regardless of thread count, so the
-    numbers are bit-identical whether scored serially or in parallel.
-    """
-    if len(protocol) == 0:
-        raise DataError("cannot score an empty protocol")
-    check_protocol_ids(protocol, sv_store, cm_store)
-    chunks = [protocol.trials[i:i + SCORE_BATCH]
-              for i in range(0, len(protocol.trials), SCORE_BATCH)]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda c: _score_chunk(model, c, sv_store, cm_store), chunks))
-    else:
-        parts = [_score_chunk(model, c, sv_store, cm_store) for c in chunks]
-    return [rec for part in parts for rec in part]
+                   sv_store: EmbeddingStore, cm_store: EmbeddingStore) -> list[ScoreRecord]:
+    """Score every trial in eval mode, in protocol order."""
+    rows = check_protocol_ids(protocol, sv_store, cm_store)
+    s_sv = sv_scores(rows, sv_store)
+    s_spf = spoof_scores_for(model, rows, sv_store, cm_store)
+    s_sasv = model.fuse(s_sv, s_spf)
+    return [ScoreRecord(t, float(a), float(b), float(c))
+            for t, a, b, c in zip(protocol.trials, s_sv, s_spf, s_sasv)]

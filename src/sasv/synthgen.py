@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DataError, EmbeddingStore, Protocol, Trial, TrialLabel, cosine,
-                   length_normalize, save_embeddings, save_protocol)
+from .core import (DataError, EmbeddingStore, Protocol, Trial, TrialLabel,
+                   check_protocol_ids, length_normalize, save_embeddings,
+                   save_protocol, sv_scores)
 
 SPLIT_NAMES = ("train", "dev", "eval")
 
@@ -155,13 +156,10 @@ def describe(ds: SynthDataset) -> dict:
     out = {"seed": ds.config.seed, "splits": {}}
     for split, protocol in ds.protocols.items():
         counts = protocol.counts()
-        tar_cos = []
-        non_cos = []
-        for t in protocol.trials:
-            if t.label is TrialLabel.SPOOF:
-                continue
-            value = cosine(ds.sv_store.vector(t.enroll_id), ds.sv_store.vector(t.test_id))
-            (tar_cos if t.label is TrialLabel.TARGET else non_cos).append(value)
+        s_sv = sv_scores(check_protocol_ids(protocol, ds.sv_store, None), ds.sv_store)
+        labels = np.array([t.label for t in protocol.trials])
+        tar_cos = s_sv[labels == TrialLabel.TARGET]
+        non_cos = s_sv[labels == TrialLabel.NONTARGET]
         test_ids = {t.test_id: t.label for t in protocol.trials}
         bona_proj = [float(ds.cm_store.vector(u) @ ds.cm_direction)
                      for u, lab in test_ids.items() if lab is not TrialLabel.SPOOF]

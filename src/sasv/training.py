@@ -16,7 +16,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .core import (DataError, EmbeddingStore, NumericError, Protocol, TrialLabel,
-                   check_protocol_ids)
+                   check_protocol_ids, sv_scores)
 from .loss import OneClassSoftmaxConfig, one_class_softmax
 from .metrics import sasv_report
 from .model import InputMode, IntegrationModel, score_protocol
@@ -118,11 +118,12 @@ def train(model: IntegrationModel, sv_store: EmbeddingStore, cm_store: Embedding
         raise DataError("learning rate must be non-negative")
     _require_classes(train_protocol, "train")
     _require_classes(dev_protocol, "dev")
-    check_protocol_ids(train_protocol, sv_store, cm_store)
+    rows = check_protocol_ids(train_protocol, sv_store, cm_store)
     check_protocol_ids(dev_protocol, sv_store, cm_store)
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    x_all, s_sv_all = model.assemble_batch(train_protocol.trials, sv_store, cm_store)
+    x_all = model.assemble_batch(rows, sv_store, cm_store)
+    s_sv_all = sv_scores(rows, sv_store)
     z_all = np.array([t.label.z for t in train_protocol.trials])
     n = len(train_protocol)
 
@@ -191,9 +192,6 @@ def write_history(history: list[EpochStats], path: str) -> None:
             ])
 
 
-_ARRAY_ORDER_SUFFIX = ["bn.running_mean", "bn.running_var"]
-
-
 def model_to_checkpoint(model: IntegrationModel, train_cfg: TrainConfig,
                         loss_cfg: OneClassSoftmaxConfig, best_epoch: int,
                         best_dev_sasv_eer: float) -> Checkpoint:
@@ -224,7 +222,7 @@ def model_from_checkpoint(ckpt: Checkpoint) -> IntegrationModel:
             rng=np.random.default_rng(0),
             normalize_embeddings=bool(meta["normalize_embeddings"]),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad integration checkpoint metadata: {exc}") from None
     expected = dict(model.named_parameters())
     expected["bn.running_mean"] = model.bn.running_mean

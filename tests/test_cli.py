@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import filecmp
 import json
+import struct
+import zlib
 
+import numpy as np
 import pytest
 
 from sasv import cli
-from sasv.checkpoint import load_checkpoint
+from sasv.checkpoint import Checkpoint, checkpoint_to_bytes, load_checkpoint
 from sasv.metrics import load_scores
 
 
@@ -141,19 +144,6 @@ def test_score_matches_eval_scores(workspace, tmp_path):
                        shallow=False)
 
 
-def test_threads_do_not_change_scores(workspace, tmp_path):
-    data, model = workspace["data"], workspace["model"]
-    out1 = tmp_path / "t1"
-    out4 = tmp_path / "t4"
-    common = ["score", "--model", str(model),
-              "--sv-emb", str(data / "sv_embeddings.tsv"),
-              "--cm-emb", str(data / "cm_embeddings.tsv"),
-              "--eval-protocol", str(data / "eval_protocol.tsv")]
-    assert _run(common + ["--threads", "1", "--out", str(out1)]) == 0
-    assert _run(common + ["--threads", "4", "--out", str(out4)]) == 0
-    assert filecmp.cmp(out1 / "scores.csv", out4 / "scores.csv", shallow=False)
-
-
 def test_baseline_with_cm_model(workspace, tmp_path):
     data, model = workspace["data"], workspace["model"]
     out = tmp_path / "bl"
@@ -219,8 +209,8 @@ def test_usage_errors_exit_1(workspace, tmp_path):
             "--sv-emb", str(data / "sv_embeddings.tsv"),
             "--cm-emb", str(data / "cm_embeddings.tsv"),
             "--eval-protocol", str(data / "eval_protocol.tsv"),
-            "--threads", "0", "--out", str(tmp_path / "x")]
-    assert _run(args) == 1
+            "--threads", "2", "--out", str(tmp_path / "x")]
+    assert _run(args) == 1  # --threads is not an option
 
 
 def test_data_errors_exit_2(workspace, tmp_path):
@@ -240,6 +230,26 @@ def test_data_errors_exit_2(workspace, tmp_path):
             "--cm-emb", str(data / "cm_embeddings.tsv"),
             "--eval-protocol", str(bad), "--out", str(tmp_path / "y")]
     assert _run(args) == 2
+
+
+def test_malformed_checkpoints_exit_2(workspace, tmp_path):
+    data = workspace["data"]
+    list_meta = checkpoint_to_bytes(Checkpoint(kind="integration", meta=[1, 2]))
+    # a one-array checkpoint whose array name is the byte 0xff, CRC re-sealed
+    body = checkpoint_to_bytes(Checkpoint(kind="integration", meta={},
+                                          arrays={"a": np.zeros(1)}))[:-4]
+    name_at = body.index(b"\x01\x00a") + 2
+    body = body[:name_at] + b"\xff" + body[name_at + 1:]
+    bad_name = body + struct.pack("<I", zlib.crc32(body))
+    for i, blob in enumerate((list_meta, bad_name)):
+        path = tmp_path / f"bad{i}.ckpt"
+        path.write_bytes(blob)
+        args = ["score", "--model", str(path),
+                "--sv-emb", str(data / "sv_embeddings.tsv"),
+                "--cm-emb", str(data / "cm_embeddings.tsv"),
+                "--eval-protocol", str(data / "eval_protocol.tsv"),
+                "--out", str(tmp_path / f"x{i}")]
+        assert _run(args) == 2
 
 
 def test_normalization_contradiction_exits_2(workspace, tmp_path):

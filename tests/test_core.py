@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from sasv.core import (DataError, EmbeddingStore, NumericError, Protocol, Trial,
-                       TrialLabel, check_protocol_ids, cosine, length_normalize,
-                       load_embeddings, load_protocol, save_embeddings,
-                       save_protocol)
+                       TrialLabel, check_protocol_ids, cosine, cosine_rows,
+                       length_normalize, load_embeddings, load_protocol,
+                       save_embeddings, save_protocol)
 
 
 def test_trial_label_parse_and_class_index():
@@ -47,6 +47,22 @@ def test_cosine_zero_norm_raises():
         cosine([0.0, 0.0], [1.0, 0.0])
 
 
+def test_cosine_rows_is_the_row_wise_cosine():
+    rng = np.random.default_rng(4)
+    a, b = rng.normal(size=(40, 7)), rng.normal(size=(40, 7))
+    rows = cosine_rows(a, b)
+    assert rows.shape == (40,)
+    for i in range(40):
+        assert rows[i] == cosine(a[i], b[i])
+        # an exactly rounded reference, to a few ulp of float64
+        dot, na, nb = (math.fsum(x * y for x, y in zip(u, v))
+                       for u, v in ((a[i], b[i]), (a[i], a[i]), (b[i], b[i])))
+        assert abs(rows[i] - dot / math.sqrt(na * nb)) < 1e-15
+    assert np.array_equal(cosine_rows(a[::3], b[::3]), rows[::3])
+    with pytest.raises(NumericError):
+        cosine_rows(np.ones((2, 3)), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+
+
 def test_length_normalize():
     v = length_normalize([3.0, 4.0])
     assert np.allclose(v, [0.6, 0.8], rtol=0, atol=1e-16)
@@ -69,6 +85,27 @@ def test_embedding_store_validation():
     with pytest.raises(DataError, match="u9"):
         store.vector("u9")
     assert "u1" in store and len(store) == 1
+
+
+@pytest.mark.parametrize("utt_id", ["", "a\tb", "a\nb", "a\rb", "#c", " \t#c",
+                                    "  #c", "\ud800"])
+def test_embedding_store_rejects_ids_it_cannot_save(utt_id):
+    store = EmbeddingStore("sv")
+    with pytest.raises(DataError, match="embedding id"):
+        store.add(utt_id, [1.0])
+    assert len(store) == 0
+
+
+def test_embedding_store_is_a_dense_matrix():
+    store = EmbeddingStore("sv")
+    for i in range(40):  # past the first growth of the backing matrix
+        store.add(f"u{i}", [float(i), -float(i)])
+    assert store.matrix.shape == (40, 2)
+    assert np.array_equal(store.matrix[:, 0], np.arange(40.0))
+    assert store.index["u7"] == 7
+    assert [utt for utt, _ in store.items()] == [f"u{i}" for i in range(40)]
+    with pytest.raises(ValueError):
+        store.matrix[0, 0] = 1.0
 
 
 def test_embedding_store_vectors_are_readonly():
@@ -177,8 +214,9 @@ def test_check_protocol_ids():
     sv.add("t1", [0.0, 1.0])
     cm.add("t1", [1.0])
     good = Protocol([Trial("e1", "t1", TrialLabel.TARGET)])
-    check_protocol_ids(good, sv, cm)  # no raise
-    check_protocol_ids(good, sv, None)
+    rows = check_protocol_ids(good, sv, cm)
+    assert (rows.enroll.tolist(), rows.test.tolist(), rows.test_cm.tolist()) == ([0], [1], [0])
+    assert check_protocol_ids(good, sv, None).test_cm is None
 
     missing_enroll = Protocol([Trial("eX", "t1", TrialLabel.TARGET)])
     with pytest.raises(DataError, match=r"trial 1: enroll id 'eX'"):

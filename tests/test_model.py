@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sasv.core import (DataError, EmbeddingStore, Protocol, Trial, TrialLabel,
-                       cosine)
+                       check_protocol_ids, cosine, sv_scores)
 from sasv.model import (EMBED_DIM, HIDDEN_SIZES, InputMode, IntegrationModel,
                         score_protocol)
 
@@ -46,26 +46,38 @@ def test_input_mode_dimensions():
 
 
 def test_assemble_input_layouts():
+    sv, cm = EmbeddingStore("sv"), EmbeddingStore("cm")
     enroll = np.arange(SV_DIM) + 100.0
     test_sv = np.arange(SV_DIM) * 1.0
     test_cm = np.arange(CM_DIM) + 50.0
-    concat = _model(InputMode.CONCAT).assemble_input(enroll, test_sv, test_cm)
-    assert np.array_equal(concat, np.concatenate([test_sv, test_cm]))
-    cm_only = _model(InputMode.CM_ONLY).assemble_input(enroll, test_sv, test_cm)
-    assert np.array_equal(cm_only, test_cm)
-    full = _model(InputMode.CONCAT_PLUS_ENROLL).assemble_input(enroll, test_sv, test_cm)
-    assert np.array_equal(full, np.concatenate([test_sv, test_cm, enroll]))
+    sv.add("e", enroll)
+    sv.add("t", test_sv)
+    cm.add("t", test_cm)
+    rows = check_protocol_ids(Protocol([Trial("e", "t", TrialLabel.TARGET)]), sv, cm)
+
+    def layout(mode):
+        x = _model(mode).assemble_batch(rows, sv, cm)
+        assert x.shape == (1, mode.input_dim(SV_DIM, CM_DIM))
+        return x[0]
+
+    assert np.array_equal(layout(InputMode.CONCAT), np.concatenate([test_sv, test_cm]))
+    assert np.array_equal(layout(InputMode.CM_ONLY), test_cm)
+    assert np.array_equal(layout(InputMode.CONCAT_PLUS_ENROLL),
+                          np.concatenate([test_sv, test_cm, enroll]))
 
 
 def test_assemble_batch_sv_cosines():
     model = _model()
     sv, cm = _stores()
     protocol = _protocol(20)
-    x, s_sv = model.assemble_batch(protocol.trials, sv, cm)
+    rows = check_protocol_ids(protocol, sv, cm)
+    x = model.assemble_batch(rows, sv, cm)
+    s_sv = sv_scores(rows, sv)
     assert x.shape == (20, SV_DIM + CM_DIM)
     for i, t in enumerate(protocol.trials):
         assert s_sv[i] == cosine(sv.vector(t.enroll_id), sv.vector(t.test_id))
         assert np.array_equal(x[i, :SV_DIM], sv.vector(t.test_id))
+        assert np.array_equal(x[i, SV_DIM:], cm.vector(t.test_id))
 
 
 def test_scores_recompose_from_the_layers():
@@ -74,7 +86,8 @@ def test_scores_recompose_from_the_layers():
     protocol = _protocol(20)
     records = score_protocol(model, protocol, sv, cm)
 
-    x, s_sv = model.assemble_batch(protocol.trials, sv, cm)
+    rows = check_protocol_ids(protocol, sv, cm)
+    x, s_sv = model.assemble_batch(rows, sv, cm), sv_scores(rows, sv)
     h = model.bn.forward(x)
     h = model.act1.forward(model.h1.forward(h))
     h = model.act2.forward(model.h2.forward(h))
@@ -165,16 +178,19 @@ def test_named_parameters_registry():
     assert model.h1.bias[0] == 123.0
 
 
-def test_score_protocol_is_deterministic_and_thread_invariant():
-    model = _model()
+def test_score_protocol_is_deterministic_and_batch_invariant():
+    model = _model(InputMode.CONCAT_PLUS_ENROLL)
     sv, cm = _stores(n_utts=30)
-    protocol = _protocol(300, n_utts=30)  # spans two scoring chunks
+    protocol = _protocol(600, n_utts=30)  # more distinct pairs than one chunk
     r1 = score_protocol(model, protocol, sv, cm)
     r2 = score_protocol(model, protocol, sv, cm)
-    r4 = score_protocol(model, protocol, sv, cm, threads=4)
     assert r1 == r2
-    assert r1 == r4
     assert [r.trial for r in r1] == protocol.trials
+    # each trial scores the same alone, and in the reversed second half
+    for i in (0, 299, 599):
+        assert score_protocol(model, Protocol([protocol.trials[i]]), sv, cm) == [r1[i]]
+    tail = Protocol(protocol.trials[:299:-1])
+    assert score_protocol(model, tail, sv, cm) == r1[:299:-1]
 
 
 def test_score_protocol_checks_ids():
