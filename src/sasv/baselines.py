@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .core import (DataError, EmbeddingStore, Protocol, ScoreRecord, TrialLabel,
-                   check_protocol_ids, sv_scores)
+from .core import (DataError, EmbeddingStore, NumericError, Protocol, ScoreRecord,
+                   TrialLabel, check_protocol_ids, sv_scores)
 from .loss import sigmoid
-from .metrics import eer
+from .metrics import eer, eer_at_crossing
 from .model import IntegrationModel, spoof_scores_for
 from .training import AdamState, adam_step
 
@@ -97,32 +97,99 @@ def cascade_scores(s_sv, s_cm, tau: float) -> np.ndarray:
     return np.where(s_cm < tau, CASCADE_FLOOR, s_sv)
 
 
-def _sasv_eer_of(scores: np.ndarray, is_target: np.ndarray) -> float:
-    return eer(scores[is_target], scores[~is_target]).eer
-
-
 def fit_cascade(s_sv, s_cm, labels: list[TrialLabel]) -> float:
     """Pick the CM gate threshold minimizing dev SASV-EER.
 
     Candidates are every distinct dev CM score plus the midpoints of adjacent
-    distinct values, scanned in ascending order so ties keep the smallest.
+    distinct values; the first in ascending order with the least EER wins, so
+    ties keep the smallest. A candidate gates the trials of the distinct CM
+    scores below it, so its EER is that of one gated prefix
+    (_gated_prefix_eers).
     """
     s_sv = np.asarray(s_sv, dtype=np.float64)
     s_cm = np.asarray(s_cm, dtype=np.float64)
     is_target = np.array([lab is TrialLabel.TARGET for lab in labels])
     if not is_target.any() or is_target.all():
         raise DataError("cascade fitting needs target and nontarget/spoof trials")
-    distinct = np.unique(s_cm)
-    candidates = list(distinct) + list((distinct[:-1] + distinct[1:]) / 2.0)
-    candidates.sort()
-    best_tau = candidates[0]
-    best_eer = np.inf
-    for tau in candidates:
-        e = _sasv_eer_of(cascade_scores(s_sv, s_cm, tau), is_target)
-        if e < best_eer:
-            best_eer = e
-            best_tau = tau
-    return float(best_tau)
+    if not (np.all(np.isfinite(s_sv)) and np.all(np.isfinite(s_cm))):
+        raise NumericError("non-finite score passed to fit_cascade")
+    distinct, group = np.unique(s_cm, return_inverse=True)
+    with np.errstate(over="ignore"):  # an overflowing midpoint is inf: it gates all
+        midpoints = (distinct[:-1] + distinct[1:]) / 2.0
+    # a stable sort, as list.sort, so an endpoint precedes an equal midpoint
+    candidates = np.sort(np.concatenate([distinct, midpoints]), kind="stable")
+    # by search, not by position: a midpoint can round onto an endpoint
+    gated = np.searchsorted(distinct, candidates, side="left")
+    prefix_eers = _gated_prefix_eers(s_sv, group, distinct.size, is_target)
+    best = int(np.argmin(prefix_eers[gated]))
+    tau = float(candidates[best])
+    # the chosen gate scored directly, a guard on the sweep's exactness
+    scores = cascade_scores(s_sv, s_cm, tau)
+    if eer(scores[is_target], scores[~is_target]).eer != prefix_eers[gated[best]]:
+        raise NumericError(f"cascade sweep disagrees with eer at tau {tau!r}")
+    return tau
+
+
+def _gated_prefix_eers(s_sv, group, n_groups: int, is_target) -> np.ndarray:
+    """metrics.eer of cascade_scores, bit for bit, with the trials of CM
+    groups 0..k-1 gated, for k = 0..n_groups.
+
+    Every prefix is scored on one grid: the distinct s_sv and CASCADE_FLOOR,
+    then the terminal point. At a grid value no score takes, the rates equal
+    those of the next value, so the first grid index with far - frr <= 0 and
+    the one before it hold the rates eer interpolates between. Gating a trial
+    lowers far - frr above the floor and raises it at and below it, so that
+    index moves right while it lies at or below the floor, then only left (it
+    never lies there when no s_sv is below the floor): one pointer, moved in
+    O(1) steps, finds it for every prefix.
+    """
+    grid, at = np.unique(np.append(s_sv, CASCADE_FLOOR), return_inverse=True)
+    floor, at = int(at[-1]), at[:-1]
+    n_pos = int(is_target.sum())
+    n_neg = is_target.size - n_pos
+    # passing trials per grid value
+    pos_at = np.bincount(at[is_target], minlength=grid.size).tolist()
+    neg_at = np.bincount(at[~is_target], minlength=grid.size).tolist()
+    order = np.argsort(group, kind="stable")
+    ends = np.cumsum(np.bincount(group, minlength=n_groups)).tolist()
+    gated_at, gated_pos = at[order].tolist(), is_target[order].tolist()
+
+    # the pointer j, the passing targets below grid[j] and the passing
+    # negatives at or above it, and the gated trials of each class
+    j, below, above, gated_p, gated_n = 0, 0, n_neg, 0, 0
+
+    def rates(j, below, above):
+        return ((below + (gated_p if j > floor else 0)) / n_pos,
+                (above + (gated_n if j <= floor else 0)) / n_neg)
+
+    eers = []
+    start = 0
+    for k in range(n_groups + 1):
+        while True:
+            frr, far = rates(j, below, above)
+            if far - frr > 0.0:  # the crossing lies to the right
+                below, above, j = below + pos_at[j], above - neg_at[j], j + 1
+                continue
+            frr_prev, far_prev = rates(j - 1, below - pos_at[j - 1],
+                                       above + neg_at[j - 1])
+            if far_prev - frr_prev > 0.0:
+                break
+            below, above, j = below - pos_at[j - 1], above + neg_at[j - 1], j - 1
+        eers.append(eer_at_crossing(frr_prev, far_prev, frr, far)[0])
+        if k == n_groups:
+            break
+        for i in range(start, ends[k]):
+            s = gated_at[i]
+            if gated_pos[i]:
+                pos_at[s] -= 1
+                gated_p += 1
+                below -= s < j
+            else:
+                neg_at[s] -= 1
+                gated_n += 1
+                above -= s >= j
+        start = ends[k]
+    return np.array(eers)
 
 
 @dataclass

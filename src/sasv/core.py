@@ -189,11 +189,14 @@ def cosine(a, b) -> float:
 def _data_lines(path: str):
     # yields (lineno, stripped line) skipping comments and blank lines
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            yield lineno, line
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n").rstrip("\r")
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
+                yield lineno, line
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
 
 
 def load_embeddings(path: str, kind: str, normalize: bool = False) -> EmbeddingStore:

@@ -65,14 +65,24 @@ def eer(positive_scores, negative_scores) -> EerResult:
     far = np.append(far, 0.0)
     diff = far - frr  # monotone non-increasing; diff[0] = 1
     idx = int(np.argmax(diff <= 0.0))
-    if diff[idx] == 0.0:
-        return EerResult(float(far[idx]), float(thresholds[idx]))
-    d_prev, d_next = diff[idx - 1], diff[idx]
-    t = d_prev / (d_prev - d_next)
-    eer_frr = frr[idx - 1] + t * (frr[idx] - frr[idx - 1])
-    eer_far = far[idx - 1] + t * (far[idx] - far[idx - 1])
+    rate, t = eer_at_crossing(frr[idx - 1], far[idx - 1], frr[idx], far[idx])
+    if t is None:
+        return EerResult(float(rate), float(thresholds[idx]))
     threshold = thresholds[idx - 1] + t * (thresholds[idx] - thresholds[idx - 1])
-    return EerResult(float(0.5 * (eer_frr + eer_far)), float(threshold))
+    return EerResult(float(rate), float(threshold))
+
+
+def eer_at_crossing(frr_prev, far_prev, frr_next, far_next):
+    """The EER between two adjacent sweep points, the first with far > frr
+    and the next with far <= frr, and the interpolation weight of the next
+    point (None when it crosses exactly, so the EER is its own rate)."""
+    d_prev, d_next = far_prev - frr_prev, far_next - frr_next
+    if d_next == 0.0:
+        return far_next, None
+    t = d_prev / (d_prev - d_next)
+    eer_frr = frr_prev + t * (frr_next - frr_prev)
+    eer_far = far_prev + t * (far_next - far_prev)
+    return 0.5 * (eer_frr + eer_far), t
 
 
 def _field_values(records: list[ScoreRecord], label: TrialLabel, field: str) -> np.ndarray:
@@ -125,20 +135,23 @@ def load_scores(path: str) -> list[ScoreRecord]:
     records: list[ScoreRecord] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SCORE_CSV_HEADER:
-            raise DataError(f"{path}:1: bad score CSV header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
-            try:
-                label = TrialLabel.parse(row[2])
-                values = [float(v) for v in row[3:6]]
-            except (DataError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            records.append(ScoreRecord(Trial(row[0], row[1], label), *values))
+        try:
+            header = next(reader, None)
+            if header != SCORE_CSV_HEADER:
+                raise DataError(f"{path}:1: bad score CSV header {header!r}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 6:
+                    raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
+                try:
+                    label = TrialLabel.parse(row[2])
+                    values = [float(v) for v in row[3:6]]
+                except (DataError, ValueError) as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+                records.append(ScoreRecord(Trial(row[0], row[1], label), *values))
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
     if not records:
         raise DataError(f"{path}: no score records found")
     return records

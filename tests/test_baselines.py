@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sasv import baselines
-from sasv.core import DataError, EmbeddingStore, Protocol, Trial, TrialLabel
+from sasv.core import (DataError, EmbeddingStore, NumericError, Protocol, Trial,
+                       TrialLabel)
 from sasv.metrics import eer
 from sasv.model import InputMode, IntegrationModel, score_protocol
 
@@ -138,6 +139,17 @@ def test_fit_cascade_tie_takes_smallest_candidate():
 def test_fit_cascade_needs_both_classes():
     with pytest.raises(DataError):
         baselines.fit_cascade([1.0], [1.0], [TrialLabel.TARGET])
+
+
+def test_fit_cascade_rejects_non_finite_scores():
+    # a NaN CM score would sort nowhere among the candidates and never gate
+    labels = [TrialLabel.TARGET, TrialLabel.SPOOF, TrialLabel.TARGET,
+              TrialLabel.NONTARGET]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericError):
+            baselines.fit_cascade([0.9, 0.2, 0.8, 0.1], [bad, 1.0, 0.3, -1.0], labels)
+        with pytest.raises(NumericError):
+            baselines.fit_cascade([bad, 0.2, 0.8, 0.1], [0.5, 1.0, 0.3, -1.0], labels)
 
 
 def test_logreg_separates_and_orients():

@@ -232,6 +232,26 @@ def test_data_errors_exit_2(workspace, tmp_path):
     assert _run(args) == 2
 
 
+def test_non_utf8_text_files_exit_2(workspace, tmp_path):
+    data = workspace["data"]
+    bad = tmp_path / "latin1.tsv"
+    bad.write_bytes(b"u\xff\t0.5\n")
+    train = ["train", "--sv-emb", str(bad),
+             "--cm-emb", str(data / "cm_embeddings.tsv"),
+             "--train-protocol", str(data / "train_protocol.tsv"),
+             "--dev-protocol", str(data / "dev_protocol.tsv"),
+             "--epochs", "1", "--out", str(tmp_path / "t")]
+    assert _run(train) == 2
+    assert _run(["eval", "--scores", str(bad), "--out", str(tmp_path / "e")]) == 2
+    baseline = ["baseline", "--kind", "sum",
+                "--sv-emb", str(data / "sv_embeddings.tsv"),
+                "--cm-emb", str(data / "cm_embeddings.tsv"),
+                "--cm-scores", str(bad),
+                "--eval-protocol", str(data / "eval_protocol.tsv"),
+                "--out", str(tmp_path / "b")]
+    assert _run(baseline) == 2
+
+
 def test_malformed_checkpoints_exit_2(workspace, tmp_path):
     data = workspace["data"]
     list_meta = checkpoint_to_bytes(Checkpoint(kind="integration", meta=[1, 2]))

@@ -4,7 +4,9 @@ A trial's scores must depend on that trial alone, whatever other trials share
 its protocol; the CM scores of a model source must equal the spoofing scores
 of protocol scoring; and any id a store accepts must survive a save and load.
 Inputs are drawn as seeds and sizes, then built with NumPy, so one example
-can hold several scoring chunks' worth of trials.
+can hold several scoring chunks' worth of trials. The metrics are checked
+against brute force: the cascade fit against one full EER per candidate
+threshold, and the EER against strictly increasing maps of the scores.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sasv.baselines import CmScoreSource
+from sasv.baselines import (CmScoreSource, _gated_prefix_eers, cascade_scores,
+                            fit_cascade)
 from sasv.core import (DataError, EmbeddingStore, Protocol, Trial, TrialLabel,
                        load_embeddings, save_embeddings)
+from sasv.metrics import eer
 from sasv.model import InputMode, IntegrationModel, score_protocol
 
 # derandomized and without an example database: the same examples every run
@@ -96,3 +100,75 @@ def test_accepted_ids_round_trip_through_files(tmp_path, ids, values):
     assert list(loaded.index) == list(store.index)
     assert loaded.matrix.tobytes() == store.matrix.tobytes()
 
+
+
+def _fit_cascade_oracle(s_sv, s_cm, labels) -> float:
+    """The cascade fit as one full EER per candidate threshold."""
+    s_sv = np.asarray(s_sv, dtype=np.float64)
+    s_cm = np.asarray(s_cm, dtype=np.float64)
+    is_target = np.array([lab is TrialLabel.TARGET for lab in labels])
+    distinct = np.unique(s_cm)
+    candidates = list(distinct) + list((distinct[:-1] + distinct[1:]) / 2.0)
+    candidates.sort()
+    best_tau = candidates[0]
+    best_eer = np.inf
+    for tau in candidates:
+        scores = cascade_scores(s_sv, s_cm, tau)
+        e = eer(scores[is_target], scores[~is_target]).eer
+        if e < best_eer:
+            best_eer = e
+            best_tau = tau
+    return float(best_tau)
+
+
+def _f64(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+# a coarse grid for ties, reaching below the cascade floor of -2
+SCORES = st.one_of(st.integers(-6, 6).map(lambda i: i / 2.0), st.floats(-3.0, 3.0))
+TRIALS = st.lists(st.tuples(SCORES, SCORES, st.sampled_from(LABELS)),
+                  min_size=2, max_size=40)
+ONE_ULP = float(np.nextafter(1.0, 2.0))  # the midpoint of 1.0 and ONE_ULP is 1.0
+
+
+@settings(PROPERTY, max_examples=150)
+@given(trials=TRIALS)
+@example(trials=[(0.9, 1.0, TrialLabel.TARGET), (0.3, ONE_ULP, TrialLabel.SPOOF),
+                 (0.5, 1.0, TrialLabel.NONTARGET)])
+@example(trials=[(0.9, ONE_ULP, TrialLabel.TARGET), (0.3, 1.0, TrialLabel.SPOOF)])
+# the midpoint of the two CM scores overflows to inf and gates every trial
+@example(trials=[(0.2, 1e308, TrialLabel.TARGET), (0.3, 1.7e308, TrialLabel.SPOOF),
+                 (0.1, 1.7e308, TrialLabel.TARGET)])
+def test_fit_cascade_equals_the_per_candidate_scan(trials):
+    s_sv = np.array([t[0] for t in trials])
+    s_cm = np.array([t[1] for t in trials])
+    labels = [t[2] for t in trials]
+    if TrialLabel.TARGET not in labels:
+        labels[0] = TrialLabel.TARGET
+    if all(lab is TrialLabel.TARGET for lab in labels):
+        labels[-1] = TrialLabel.SPOOF
+    with np.errstate(over="ignore"):
+        oracle = _fit_cascade_oracle(s_sv, s_cm, labels)
+    assert _f64(fit_cascade(s_sv, s_cm, labels)) == _f64(oracle)
+
+    is_target = np.array([lab is TrialLabel.TARGET for lab in labels])
+    distinct, group = np.unique(s_cm, return_inverse=True)
+    swept = _gated_prefix_eers(s_sv, group, distinct.size, is_target)
+    for k, tau in enumerate(list(distinct) + [np.inf]):
+        scores = cascade_scores(s_sv, s_cm, tau)
+        assert _f64(swept[k]) == _f64(eer(scores[is_target], scores[~is_target]).eer)
+
+
+GRID = st.lists(st.integers(-30, 30).map(lambda i: i / 10.0), min_size=1, max_size=30)
+
+
+@PROPERTY
+@given(pos=GRID, neg=GRID)
+def test_eer_is_invariant_under_increasing_maps(pos, neg):
+    # maps that keep these distinct scores distinct; the rate depends only on
+    # the order, so it stays bit for bit (the threshold moves with the map)
+    pos, neg = np.array(pos), np.array(neg)
+    base = _f64(eer(pos, neg).eer)
+    for f in (lambda x: 3.0 * x + 1.0, np.exp):
+        assert _f64(eer(f(pos), f(neg)).eer) == base
