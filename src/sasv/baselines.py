@@ -215,18 +215,18 @@ def fit_logreg(s_sv, s_cm, labels: list[TrialLabel], steps: int = 1000,
     y = np.array([1.0 if lab is TrialLabel.TARGET else 0.0 for lab in labels])
     if y.min() == y.max():
         raise DataError("logreg fitting needs target and nontarget/spoof trials")
-    params = {"weight": np.zeros(2), "bias": np.array(0.0)}
+    params = np.zeros(3)  # [w_sv, w_cm, bias]
+    grads = np.empty(3)
     adam = AdamState(params)
     n = y.size
     for _ in range(steps):
-        u = params["weight"][0] * s_sv + params["weight"][1] * s_cm + params["bias"]
+        u = params[0] * s_sv + params[1] * s_cm + params[2]
         r = (sigmoid(u) - y) / n
-        grads = {
-            "weight": np.array([r @ s_sv, r @ s_cm]),
-            "bias": np.array(r.sum()),
-        }
+        grads[0] = r @ s_sv
+        grads[1] = r @ s_cm
+        grads[2] = r.sum()
         adam_step(adam, params, grads, lr)
-    return LogisticFusion(weight=params["weight"].copy(), bias=float(params["bias"]))
+    return LogisticFusion(weight=params[:2].copy(), bias=float(params[2]))
 
 
 def baseline_records(kind: str, protocol: Protocol, s_sv: np.ndarray,

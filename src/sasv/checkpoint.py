@@ -19,6 +19,7 @@ the original bytes exactly.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -98,7 +99,8 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
     (meta_len,) = r.unpack("<I")
     try:
         meta = json.loads(r.take(meta_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError: bad UTF-8 or JSON, or an integer past int()'s digit limit
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"bad checkpoint metadata: {exc}") from None
     (n_arrays,) = r.unpack("<I")
     arrays: dict[str, np.ndarray] = {}
@@ -110,7 +112,7 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
             raise DataError("checkpoint array name is not UTF-8") from None
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I") if ndim else ()
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # exact: an int64 product could wrap
         raw = r.take(8 * count)
         arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if name in arrays:

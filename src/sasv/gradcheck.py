@@ -167,9 +167,8 @@ def check_composite(seed: int, coords_per_param: int | None = 48,
     s_spf = model.spoof_scores(x, tape)
     _, g_sasv = one_class_softmax(loss_cfg, model.fuse(s_sv, s_spf), z)
     tape.backward(g_sasv)
-    grads = dict(tape.grads)
-    grads["sv_weight"] = np.array(float(g_sasv @ s_sv))
-    return check_gradients(model.named_parameters(), grads, loss_fn,
+    model.params.grads["sv_weight"][()] = g_sasv @ s_sv
+    return check_gradients(model.named_parameters(), model.params.grads, loss_fn,
                            coords_per_param=coords_per_param, rng=rng)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .core import (DataError, EmbeddingStore, Protocol, ScoreRecord, TrialRows,
                    check_protocol_ids, sv_scores)
 from .neuralnet import (BatchNormLayer, CosineHead, GradientTape, LeakyReluLayer,
-                        LinearLayer)
+                        LinearLayer, ParameterBuffer)
 
 HIDDEN_SIZES = (256, 128, 64)
 EMBED_DIM = 64
@@ -80,21 +80,25 @@ class IntegrationModel:
         self.act1 = LeakyReluLayer(name="act1")
         self.act2 = LeakyReluLayer(name="act2")
         self.act3 = LeakyReluLayer(name="act3")
-        # fused-score weight on the SV cosine, trained jointly with the net
-        self.sv_weight = np.array(1.0)
+        # every trainable array, then the fused-score weight on the SV cosine
+        # (trained jointly with the net), in one buffer; the layers hold views
+        layers = (self.bn, self.h1, self.h2, self.h3, self.proj, self.head)
+        arrays = {f"{layer.name}.{pname}": arr
+                  for layer in layers for pname, arr in layer.parameters().items()}
+        arrays["sv_weight"] = np.array(1.0)
+        self.params = ParameterBuffer(arrays)
+        for layer in layers:
+            layer.bind(self.params, prefix=f"{layer.name}.")
+        self.sv_weight = self.params.values["sv_weight"]
 
     @property
     def input_dim(self) -> int:
         return self.mode.input_dim(self.sv_dim, self.cm_dim)
 
     def named_parameters(self) -> dict[str, np.ndarray]:
-        """Trainable parameters in a fixed order; the arrays are live references."""
-        params: dict[str, np.ndarray] = {}
-        for layer in (self.bn, self.h1, self.h2, self.h3, self.proj, self.head):
-            for pname, arr in layer.parameters().items():
-                params[f"{layer.name}.{pname}"] = arr
-        params["sv_weight"] = self.sv_weight
-        return params
+        """Trainable parameters in a fixed order; the arrays are views into
+        self.params.data, and self.params.grads holds their gradients."""
+        return dict(self.params.values)
 
     def assemble_batch(self, rows: TrialRows, sv_store: EmbeddingStore,
                        cm_store: EmbeddingStore) -> np.ndarray:

@@ -1,9 +1,14 @@
 """Dense network kernel: float64 layers with hand-written backward passes.
 
 Training-mode forward passes record their activations on an explicit
-GradientTape; backward walks the tape in reverse and accumulates parameter
-gradients. Eval-mode forward (tape=None) is pure and touches no state, so
-concurrent scoring is safe.
+GradientTape; backward walks the tape in reverse and writes each parameter
+gradient into the layer's gradient buffer. Eval-mode forward (tape=None) is
+pure and touches no state, so concurrent scoring is safe.
+
+A layer's parameters are views into one ParameterBuffer, and its gradients
+views into the buffer's gradient vector of the same layout. A layer built on
+its own holds a small buffer of its own; the integration model rebinds its
+layers to one buffer for the whole net, so the optimizer updates one vector.
 """
 
 from __future__ import annotations
@@ -22,16 +27,66 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
 
+class ParameterBuffer:
+    """Named float64 arrays stored as views into one contiguous vector.
+
+    `data` holds every value and `grad` every gradient, in the same layout
+    and in the order the arrays were given. `values[name]` and `grads[name]`
+    are views of the name's slice, shaped like the array it was built from
+    (a 0-d array stays 0-d). The gradient vector is made, zeroed, at first
+    use and dropped by free_grad(), so a model that is only scored, or whose
+    training has returned, holds none.
+    """
+
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        arrays = {name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()}
+        self._slots: dict[str, tuple[int, int, tuple]] = {}
+        start = 0
+        for name, a in arrays.items():
+            self._slots[name] = (start, start + a.size, a.shape)
+            start += a.size
+        self.data = np.empty(start)
+        self.values = self._views(self.data)
+        for name, a in arrays.items():
+            self.values[name][...] = a
+        self._grad = self._grads = None
+
+    def _views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: vector[a:b].reshape(shape) for name, (a, b, shape) in self._slots.items()}
+
+    def free_grad(self) -> None:
+        self._grad = self._grads = None
+
+    def _make_grad(self) -> None:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+            self._grads = self._views(self._grad)
+
+    @property
+    def grad(self) -> np.ndarray:
+        self._make_grad()
+        return self._grad
+
+    @property
+    def grads(self) -> dict[str, np.ndarray]:
+        self._make_grad()
+        return self._grads
+
+
 class GradientTape:
     """Stack of (layer, cache) entries recorded by training-mode forwards.
 
-    backward(upstream) consumes the stack in reverse order, returns the
-    gradient with respect to the network input, and accumulates parameter
-    gradients into .grads keyed by '<layer name>.<param name>'.
+    backward(upstream) consumes the stack in reverse order and returns the
+    gradient with respect to the network input. Each layer writes its
+    parameter gradients into its own gradient views: the first contribution
+    on this tape is written, later ones (a layer applied twice) are added.
+    .grads maps '<layer name>.<param name>' to those views, so a later
+    backward through the same layers on another tape overwrites them.
     """
 
     def __init__(self):
         self._stack: list[tuple] = []
+        self._written: set = set()  # layers whose gradients this tape wrote
         self.grads: dict[str, np.ndarray] = {}
 
     def push(self, layer, cache) -> None:
@@ -42,26 +97,61 @@ class GradientTape:
             raise RuntimeError("backward() called with no recorded forward pass")
         grad = upstream
         for layer, cache in reversed(self._stack):
-            grad, param_grads = layer.backward(cache, grad)
-            for pname, pgrad in param_grads.items():
-                key = f"{layer.name}.{pname}"
-                if key in self.grads:
-                    self.grads[key] = self.grads[key] + pgrad
-                else:
-                    self.grads[key] = pgrad
+            accumulate = layer in self._written
+            grad, param_grads = layer.backward(cache, grad, accumulate)
+            if not accumulate:
+                self._written.add(layer)
+                for pname, pgrad in param_grads.items():
+                    self.grads[f"{layer.name}.{pname}"] = pgrad
         self._stack.clear()
         return grad
 
 
-class LinearLayer:
+class _Layer:
+    """Parameters as attributes that are views into a ParameterBuffer."""
+
+    PARAMS: tuple[str, ...] = ()
+
+    def _own(self, arrays: dict[str, np.ndarray]) -> None:
+        self.bind(ParameterBuffer(arrays))
+
+    def bind(self, buffer: ParameterBuffer, prefix: str = "") -> None:
+        """Point each parameter and its gradient at `buffer`'s views named
+        prefix + parameter name; the buffer already holds the values."""
+        for pname in self.PARAMS:
+            setattr(self, pname, buffer.values[prefix + pname])
+        self._buffer, self._prefix = buffer, prefix
+
+    def parameters(self) -> dict[str, np.ndarray]:
+        return {pname: getattr(self, pname) for pname in self.PARAMS}
+
+    @property
+    def grads(self) -> dict[str, np.ndarray]:
+        """The gradient view of each parameter."""
+        grads = self._buffer.grads
+        return {pname: grads[self._prefix + pname] for pname in self.PARAMS}
+
+
+def _put(dst: np.ndarray, value, accumulate: bool) -> None:
+    # a write, not a zero-fill and an add, so a first -0.0 keeps its sign
+    if accumulate:
+        dst += value
+    else:
+        dst[...] = value
+
+
+class LinearLayer(_Layer):
     """y = x @ W^T + b with W of shape [out, in]."""
 
+    PARAMS = ("weight", "bias")
+
     def __init__(self, weight, bias, name: str = "linear"):
-        self.weight = np.array(weight, dtype=np.float64)
-        self.bias = np.array(bias, dtype=np.float64)
-        if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
+        weight = np.array(weight, dtype=np.float64)
+        bias = np.array(bias, dtype=np.float64)
+        if weight.ndim != 2 or bias.shape != (weight.shape[0],):
             raise ValueError("weight must be [out, in] and bias [out]")
         self.name = name
+        self._own({"weight": weight, "bias": bias})
 
     @classmethod
     def init(cls, rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -69,39 +159,42 @@ class LinearLayer:
         # Xavier-uniform weights, zero biases
         return cls(xavier_uniform(rng, fan_in, fan_out), np.zeros(fan_out), name)
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight, "bias": self.bias}
-
     def forward(self, x: np.ndarray, tape: GradientTape | None = None) -> np.ndarray:
-        y = x @ self.weight.T + self.bias
+        y = x @ self.weight.T
+        y += self.bias
         if tape is not None:
             tape.push(self, x)
         return y
 
-    def backward(self, x, gy):
-        gx = gy @ self.weight
-        return gx, {"weight": gy.T @ x, "bias": gy.sum(axis=0)}
+    def backward(self, x, gy, accumulate: bool = False):
+        grads = self.grads
+        if accumulate:
+            grads["weight"] += gy.T @ x
+        else:
+            np.matmul(gy.T, x, out=grads["weight"])
+        _put(grads["bias"], gy.sum(axis=0), accumulate)
+        return gy @ self.weight, grads
 
 
-class LeakyReluLayer:
+class LeakyReluLayer(_Layer):
     def __init__(self, slope: float = LEAKY_SLOPE, name: str = "lrelu"):
         self.slope = slope
         self.name = name
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        return {}
+        self._own({})
 
     def forward(self, x: np.ndarray, tape: GradientTape | None = None) -> np.ndarray:
-        y = np.where(x >= 0.0, x, self.slope * x)
-        if tape is not None:
-            tape.push(self, x)
-        return y
+        # the kink at exactly zero takes the positive branch
+        factor = np.where(x >= 0.0, 1.0, self.slope)
+        if tape is None:  # nothing keeps the factor: reuse its memory
+            return np.multiply(x, factor, out=factor)
+        tape.push(self, factor)
+        return x * factor
 
-    def backward(self, x, gy):
-        return gy * np.where(x >= 0.0, 1.0, self.slope), {}
+    def backward(self, factor, gy, accumulate: bool = False):
+        return gy * factor, self.grads
 
 
-class BatchNormLayer:
+class BatchNormLayer(_Layer):
     """Batch normalization over the batch axis.
 
     Training mode normalizes with biased batch statistics (divisor N) and
@@ -109,18 +202,16 @@ class BatchNormLayer:
     Eval mode normalizes with the running stats and mutates nothing.
     """
 
+    PARAMS = ("gamma", "beta")
+
     def __init__(self, dim: int, eps: float = BN_EPS, momentum: float = BN_MOMENTUM,
                  name: str = "bn"):
-        self.gamma = np.ones(dim, dtype=np.float64)
-        self.beta = np.zeros(dim, dtype=np.float64)
+        self._own({"gamma": np.ones(dim), "beta": np.zeros(dim)})
         self.running_mean = np.zeros(dim, dtype=np.float64)
         self.running_var = np.ones(dim, dtype=np.float64)
         self.eps = eps
         self.momentum = momentum
         self.name = name
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        return {"gamma": self.gamma, "beta": self.beta}
 
     def forward(self, x: np.ndarray, tape: GradientTape | None = None) -> np.ndarray:
         if tape is None:
@@ -130,9 +221,9 @@ class BatchNormLayer:
         if n < 2:
             raise NumericError("batch norm needs at least 2 rows in training mode")
         mean = x.mean(axis=0)
-        var = x.var(axis=0)  # biased, divisor n
-        inv_std = 1.0 / np.sqrt(var + self.eps)
         x_centered = x - mean
+        var = (x_centered * x_centered).sum(axis=0) / n  # biased, as x.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat = x_centered * inv_std
         y = self.gamma * x_hat + self.beta
         m = self.momentum
@@ -143,40 +234,42 @@ class BatchNormLayer:
         tape.push(self, (x_hat, x_centered, inv_std))
         return y
 
-    def backward(self, cache, gy):
+    def backward(self, cache, gy, accumulate: bool = False):
         x_hat, x_centered, inv_std = cache
         n = x_hat.shape[0]
-        dgamma = (gy * x_hat).sum(axis=0)
-        dbeta = gy.sum(axis=0)
+        grads = self.grads
+        _put(grads["gamma"], (gy * x_hat).sum(axis=0), accumulate)
+        _put(grads["beta"], gy.sum(axis=0), accumulate)
         dx_hat = gy * self.gamma
         # chain rule through the batch statistics, not just the affine part
         dvar = (dx_hat * x_centered).sum(axis=0) * -0.5 * inv_std**3
         dmean = -(dx_hat.sum(axis=0)) * inv_std + dvar * (-2.0 / n) * x_centered.sum(axis=0)
         gx = dx_hat * inv_std + dvar * (2.0 / n) * x_centered + dmean / n
-        return gx, {"gamma": dgamma, "beta": dbeta}
+        return gx, grads
 
 
-class CosineHead:
+class CosineHead(_Layer):
     """Cosine of each row against a trained direction vector."""
 
+    PARAMS = ("direction",)
+
     def __init__(self, direction, name: str = "head"):
-        self.direction = np.array(direction, dtype=np.float64)
-        if self.direction.ndim != 1:
+        direction = np.array(direction, dtype=np.float64)
+        if direction.ndim != 1:
             raise ValueError("direction must be 1-D")
         self.name = name
+        self._own({"direction": direction})
 
     @classmethod
     def init(cls, rng: np.random.Generator, dim: int, name: str = "head") -> "CosineHead":
         limit = np.sqrt(6.0 / (dim + 1))
         return cls(rng.uniform(-limit, limit, size=dim), name)
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        return {"direction": self.direction}
-
     def forward(self, e: np.ndarray, tape: GradientTape | None = None) -> np.ndarray:
         w = self.direction
-        norm_w = np.linalg.norm(w)
-        norms_e = np.linalg.norm(e, axis=1)
+        # the 2-norms as np.linalg.norm computes them, without its wrapper
+        norm_w = np.sqrt(w @ w)
+        norms_e = np.sqrt((e * e).sum(axis=1))
         if norm_w == 0.0 or np.any(norms_e == 0.0):
             raise NumericError("cosine head hit a zero-norm vector")
         scores = (e @ w) / (norms_e * norm_w)
@@ -184,10 +277,12 @@ class CosineHead:
             tape.push(self, (e, scores, norms_e, norm_w))
         return scores
 
-    def backward(self, cache, gs):
+    def backward(self, cache, gs, accumulate: bool = False):
         e, scores, norms_e, norm_w = cache
         w = self.direction
         ge = gs[:, None] * (w[None, :] / (norms_e[:, None] * norm_w)
                             - scores[:, None] * e / norms_e[:, None] ** 2)
         gw = (gs / norms_e) @ e / norm_w - float(gs @ scores) * w / norm_w**2
-        return ge, {"direction": gw}
+        grads = self.grads
+        _put(grads["direction"], gw, accumulate)
+        return ge, grads

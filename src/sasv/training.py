@@ -19,7 +19,7 @@ from .core import (DataError, EmbeddingStore, NumericError, Protocol, TrialLabel
                    check_protocol_ids, sv_scores)
 from .loss import OneClassSoftmaxConfig, one_class_softmax
 from .metrics import sasv_report
-from .model import InputMode, IntegrationModel, score_protocol
+from .model import HIDDEN_SIZES, InputMode, IntegrationModel, score_protocol
 from .neuralnet import GradientTape
 
 log = logging.getLogger(__name__)
@@ -57,30 +57,47 @@ class TrainResult:
 
 
 class AdamState:
-    def __init__(self, params: dict[str, np.ndarray]):
+    """Moments and step count of Adam over one parameter array, plus one
+    scratch array of its shape."""
+
+    def __init__(self, params: np.ndarray):
         self.t = 0
-        self.m = {name: np.zeros_like(p) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p) for name, p in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._step = np.empty_like(params)
 
 
-def adam_step(state: AdamState, params: dict[str, np.ndarray],
-              grads: dict[str, np.ndarray], lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One in-place Adam update over every parameter."""
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float,
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """One in-place Adam update of `params` from `grads`, the same layout.
+
+    Elementwise, in the order p -= lr * (m / bc1) / (sqrt(v / bc2) + eps),
+    so the bits equal those of one update per named array.
+    """
+    if not np.isfinite(grads).all():
+        bad = int(np.flatnonzero(~np.isfinite(grads))[0])
+        raise NumericError(f"non-finite gradient at flat index {bad}")
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * np.square(g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    m, v, step = state.m, state.v, state._step
+    m *= beta1
+    np.multiply(1.0 - beta1, grads, out=step)
+    m += step
+    v *= beta2
+    np.square(grads, out=step)
+    step *= 1.0 - beta2
+    v += step
+    # fresh each step: a second scratch array kept for the whole training
+    # raised peak RSS and measured no faster
+    denom = np.empty_like(v)
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    np.divide(m, bc1, out=step)
+    step *= lr
+    step /= denom
+    params -= step
 
 
 def _require_classes(protocol: Protocol, role: str) -> None:
@@ -92,19 +109,15 @@ def _require_classes(protocol: Protocol, role: str) -> None:
         )
 
 
-def _snapshot(model: IntegrationModel) -> dict[str, np.ndarray]:
-    state = {name: p.copy() for name, p in model.named_parameters().items()}
-    state["bn.running_mean"] = model.bn.running_mean.copy()
-    state["bn.running_var"] = model.bn.running_var.copy()
-    return state
+def _snapshot(model: IntegrationModel) -> tuple[np.ndarray, ...]:
+    return (model.params.data.copy(), model.bn.running_mean.copy(),
+            model.bn.running_var.copy())
 
 
-def _restore(model: IntegrationModel, state: dict[str, np.ndarray]) -> None:
-    params = model.named_parameters()
-    for name, p in params.items():
-        np.copyto(p, state[name])
-    np.copyto(model.bn.running_mean, state["bn.running_mean"])
-    np.copyto(model.bn.running_var, state["bn.running_var"])
+def _restore(model: IntegrationModel, state: tuple[np.ndarray, ...]) -> None:
+    for target, saved in zip((model.params.data, model.bn.running_mean,
+                              model.bn.running_var), state):
+        np.copyto(target, saved)
 
 
 def train(model: IntegrationModel, sv_store: EmbeddingStore, cm_store: EmbeddingStore,
@@ -127,10 +140,11 @@ def train(model: IntegrationModel, sv_store: EmbeddingStore, cm_store: Embedding
     z_all = np.array([t.label.z for t in train_protocol.trials])
     n = len(train_protocol)
 
-    params = model.named_parameters()
-    adam = AdamState(params)
+    params = model.params
+    sv_weight_grad = params.grads["sv_weight"]
+    adam = AdamState(params.data)
     history: list[EpochStats] = []
-    best_state: dict[str, np.ndarray] | None = None
+    best_state: tuple[np.ndarray, ...] | None = None
     best_metric = math.inf
     best_epoch = 0
 
@@ -148,10 +162,9 @@ def train(model: IntegrationModel, sv_store: EmbeddingStore, cm_store: Embedding
             batch_loss, g_sasv = one_class_softmax(loss_cfg, s_sasv, z_all[idx])
             if not math.isfinite(batch_loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
-            tape.backward(g_sasv)  # d s_sasv / d s_spf = 1
-            grads = dict(tape.grads)
-            grads["sv_weight"] = np.array(float(g_sasv @ s_sv_all[idx]))
-            adam_step(adam, params, grads, cfg.learning_rate,
+            tape.backward(g_sasv)  # d s_sasv / d s_spf = 1, fills params.grad
+            sv_weight_grad[()] = g_sasv @ s_sv_all[idx]
+            adam_step(adam, params.data, params.grad, cfg.learning_rate,
                       cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon)
             loss_sum += batch_loss * idx.size
             used += idx.size
@@ -174,6 +187,7 @@ def train(model: IntegrationModel, sv_store: EmbeddingStore, cm_store: Embedding
             best_state = _snapshot(model)
 
     _restore(model, best_state)
+    params.free_grad()
     return TrainResult(model=model, history=history, best_epoch=best_epoch,
                        best_dev_sasv_eer=best_metric)
 
@@ -217,13 +231,22 @@ def model_from_checkpoint(ckpt: Checkpoint) -> IntegrationModel:
     meta = ckpt.meta
     try:
         mode = InputMode(meta["mode"])
-        model = IntegrationModel(
-            mode, int(meta["sv_dim"]), int(meta["cm_dim"]),
-            rng=np.random.default_rng(0),
-            normalize_embeddings=bool(meta["normalize_embeddings"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        sv_dim, cm_dim = int(meta["sv_dim"]), int(meta["cm_dim"])
+        normalize = bool(meta["normalize_embeddings"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"bad integration checkpoint metadata: {exc}") from None
+    # the stored arrays bound the dims before any array of that size is made
+    d_in = mode.input_dim(sv_dim, cm_dim)
+    for name, shape in (("bn.gamma", (d_in,)), ("h1.weight", (HIDDEN_SIZES[0], d_in))):
+        stored = ckpt.arrays.get(name)
+        if stored is None or stored.shape != shape:
+            raise DataError(
+                f"checkpoint metadata (mode {mode.value}, sv_dim {sv_dim}, cm_dim "
+                f"{cm_dim}) does not match its array {name!r} "
+                f"({'missing' if stored is None else f'shape {stored.shape}'})"
+            )
+    model = IntegrationModel(mode, sv_dim, cm_dim, rng=np.random.default_rng(0),
+                             normalize_embeddings=normalize)
     expected = dict(model.named_parameters())
     expected["bn.running_mean"] = model.bn.running_mean
     expected["bn.running_var"] = model.bn.running_var

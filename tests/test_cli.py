@@ -272,6 +272,26 @@ def test_malformed_checkpoints_exit_2(workspace, tmp_path):
         assert _run(args) == 2
 
 
+def test_checkpoint_dims_that_disagree_with_its_arrays_exit_2(workspace, tmp_path,
+                                                              capsys):
+    # CRC-valid, but the meta claims dims no array holds: rejected before the
+    # model would allocate 2**48-wide arrays
+    data = workspace["data"]
+    ckpt = load_checkpoint(str(workspace["model"]))
+    for i, (key, value) in enumerate((("sv_dim", 2**48), ("cm_dim", 2**60),
+                                      ("sv_dim", 7))):
+        meta = dict(ckpt.meta, **{key: value})
+        path = tmp_path / f"dims{i}.ckpt"
+        path.write_bytes(checkpoint_to_bytes(Checkpoint("integration", meta, ckpt.arrays)))
+        args = ["score", "--model", str(path),
+                "--sv-emb", str(data / "sv_embeddings.tsv"),
+                "--cm-emb", str(data / "cm_embeddings.tsv"),
+                "--eval-protocol", str(data / "eval_protocol.tsv"),
+                "--out", str(tmp_path / f"x{i}")]
+        assert _run(args) == 2
+        assert "does not match its array 'bn.gamma'" in capsys.readouterr().err
+
+
 def test_normalization_contradiction_exits_2(workspace, tmp_path):
     data, model = workspace["data"], workspace["model"]
     args = ["eval", "--model", str(model),

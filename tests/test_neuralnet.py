@@ -72,8 +72,10 @@ def test_leaky_relu_values_and_grad():
     x = np.array([[-2.0, -0.5, 0.0, 0.5, 2.0]])
     y = layer.forward(x)
     assert np.array_equal(y, [[-2.0 * LEAKY_SLOPE, -0.5 * LEAKY_SLOPE, 0.0, 0.5, 2.0]])
-    gx, params = layer.backward(x, np.ones_like(x))
-    assert params == {}
+    tape = GradientTape()
+    assert np.array_equal(layer.forward(x, tape), y)
+    gx = tape.backward(np.ones_like(x))
+    assert tape.grads == {}
     # the kink at exactly zero takes the positive branch
     assert np.array_equal(gx, [[LEAKY_SLOPE, LEAKY_SLOPE, 1.0, 1.0, 1.0]])
 

@@ -11,16 +11,23 @@ threshold, and the EER against strictly increasing maps of the scores.
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sasv.baselines import (CmScoreSource, _gated_prefix_eers, cascade_scores,
                             fit_cascade)
+from sasv.checkpoint import Checkpoint, checkpoint_from_bytes, checkpoint_to_bytes
 from sasv.core import (DataError, EmbeddingStore, Protocol, Trial, TrialLabel,
                        load_embeddings, save_embeddings)
+from sasv.loss import OneClassSoftmaxConfig
 from sasv.metrics import eer
 from sasv.model import InputMode, IntegrationModel, score_protocol
+from sasv.training import TrainConfig, model_from_checkpoint, model_to_checkpoint
 
 # derandomized and without an example database: the same examples every run
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None,
@@ -172,3 +179,82 @@ def test_eer_is_invariant_under_increasing_maps(pos, neg):
     base = _f64(eer(pos, neg).eer)
     for f in (lambda x: 3.0 * x + 1.0, np.exp):
         assert _f64(eer(f(pos), f(neg)).eer) == base
+
+
+def _valid_checkpoint() -> Checkpoint:
+    model = IntegrationModel(InputMode.CM_ONLY, 3, 2, np.random.default_rng(0))
+    return model_to_checkpoint(model, TrainConfig(), OneClassSoftmaxConfig(), 1, 0.0)
+
+
+VALID = _valid_checkpoint()
+VALID_BLOB = checkpoint_to_bytes(VALID)
+HEADER = VALID_BLOB.index(b"bn.gamma") + 40  # the meta and the first array header
+
+
+def _loads_or_data_error(blob: bytes) -> None:
+    try:
+        model_from_checkpoint(checkpoint_from_bytes(blob))
+    except DataError:
+        pass
+
+
+def _reseal(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(pos=st.one_of(st.integers(0, HEADER), st.integers(0, len(VALID_BLOB) - 1)),
+       xor=st.integers(1, 255), reseal=st.booleans(), cut=st.booleans())
+def test_a_damaged_checkpoint_loads_or_raises_data_error(pos, xor, reseal, cut):
+    if cut:
+        blob = VALID_BLOB[:pos]
+    else:
+        blob = bytearray(VALID_BLOB)
+        blob[pos] ^= xor
+        blob = bytes(blob)
+    if reseal:  # a valid CRC over the damaged body reaches the parser
+        blob = _reseal(blob[:-4])
+    _loads_or_data_error(blob)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**60, 2**60) | st.floats()
+    | st.text(max_size=8) | st.sampled_from([m.value for m in InputMode]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(changes=st.dictionaries(st.sampled_from(sorted(VALID.meta) + ["x"]), JSON_VALUES,
+                               max_size=4),
+       replace_all=st.booleans(), whole=JSON_VALUES)
+@example(changes={"sv_dim": 2**60}, replace_all=False, whole=None)
+@example(changes={"cm_dim": float("inf")}, replace_all=False, whole=None)
+@example(changes={"mode": ["cm_only"]}, replace_all=False, whole=None)
+def test_checkpoint_meta_loads_or_raises_data_error(changes, replace_all, whole):
+    meta = whole if replace_all else dict(VALID.meta, **changes)
+    _loads_or_data_error(checkpoint_to_bytes(Checkpoint("integration", meta, VALID.arrays)))
+
+
+@pytest.mark.parametrize("meta_json", [
+    b"[" * 100_000 + b"]" * 100_000,  # nested past the parser's recursion limit
+    b"1" * 5_000,  # an integer past int()'s digit limit
+], ids=["deep", "long_int"])
+def test_checkpoint_meta_the_json_parser_refuses_is_a_data_error(meta_json):
+    body = VALID_BLOB[:-4]
+    meta_at = 4 + 8
+    (meta_len,) = struct.unpack("<I", body[meta_at:meta_at + 4])
+    body = (body[:meta_at] + struct.pack("<I", len(meta_json)) + meta_json
+            + body[meta_at + 4 + meta_len:])
+    with pytest.raises(DataError, match="bad checkpoint metadata"):
+        checkpoint_from_bytes(_reseal(body))
+
+
+def test_an_overflowing_array_shape_is_a_data_error():
+    # four 2**16 dims: their product is 2**64, which an int64 wraps to 0
+    header = struct.pack("<B", 4) + struct.pack("<4I", *[2**16] * 4)
+    body = checkpoint_to_bytes(Checkpoint("integration", {}, {}))[:-8]
+    body += struct.pack("<I", 1) + struct.pack("<H", 1) + b"a" + header
+    with pytest.raises(DataError, match="truncated"):
+        checkpoint_from_bytes(_reseal(body))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sasv.core import DataError, NumericError, Protocol, Trial, TrialLabel
 from sasv.loss import OneClassSoftmaxConfig
 from sasv.metrics import sasv_report
 from sasv.model import InputMode, IntegrationModel, score_protocol
+from sasv.neuralnet import GradientTape
 from sasv.training import (AdamState, TrainConfig, adam_step,
                            model_from_checkpoint, model_to_checkpoint, train,
                            write_history)
@@ -20,14 +22,14 @@ def test_adam_first_step_formula():
     beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, 0.01
     p = np.array([1.0, -2.0, 0.5])
     g = np.array([0.5, 2.0, -0.1])
-    params = {"p": p.copy()}
+    params = p.copy()
     state = AdamState(params)
-    adam_step(state, params, {"p": g}, lr, beta1, beta2, eps)
+    adam_step(state, params, g, lr, beta1, beta2, eps)
     # after one step the bias corrections cancel the decay exactly
     m_hat = (1 - beta1) * g / (1 - beta1)
     v_hat = (1 - beta2) * g**2 / (1 - beta2)
     expected = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-    assert np.array_equal(params["p"], expected)
+    assert np.array_equal(params, expected)
     assert state.t == 1
 
 
@@ -36,24 +38,87 @@ def test_adam_matches_pure_python_reference():
     lr, beta1, beta2, eps = 0.05, 0.9, 0.999, 1e-8
     x_ref = 3.0
     m = v = 0.0
-    params = {"x": np.array(3.0)}
+    params = np.array(3.0)
     state = AdamState(params)
     for t in range(1, 51):
         g = x_ref
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * g * g
         x_ref -= lr * (m / (1 - beta1**t)) / (math.sqrt(v / (1 - beta2**t)) + eps)
-        adam_step(state, params, {"x": np.array(float(params["x"]))}, lr,
-                  beta1, beta2, eps)
-    assert abs(float(params["x"]) - x_ref) < 1e-12
+        adam_step(state, params, np.array(float(params)), lr, beta1, beta2, eps)
+    assert abs(float(params) - x_ref) < 1e-12
     assert abs(x_ref) < 3.0  # it actually descended
 
 
 def test_adam_rejects_nonfinite_gradient():
-    params = {"p": np.zeros(2)}
+    params = np.zeros(2)
     state = AdamState(params)
-    with pytest.raises(NumericError, match="non-finite gradient"):
-        adam_step(state, params, {"p": np.array([1.0, float("nan")])}, 0.1)
+    with pytest.raises(NumericError, match="non-finite gradient at flat index 1"):
+        adam_step(state, params, np.array([1.0, float("nan")]), 0.1)
+    # nothing moved: the check runs before the update
+    assert state.t == 0 and not params.any() and not state.m.any()
+
+
+def _adam_step_per_array(state, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The update as it ran once per named array, kept verbatim as the oracle
+    (state holds t and dicts m, v of per-array moments)."""
+    state.t += 1
+    bc1 = 1.0 - beta1 ** state.t
+    bc2 = 1.0 - beta2 ** state.t
+    for name, p in params.items():
+        g = grads[name]
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient for parameter {name!r}")
+        m = state.m[name]
+        v = state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * np.square(g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def test_flat_adam_equals_the_per_array_update():
+    model = IntegrationModel(InputMode.CONCAT_PLUS_ENROLL, 5, 3,
+                             np.random.default_rng(0))
+    params = model.named_parameters()
+    assert len(params) == 12 and params["sv_weight"].shape == ()
+    oracle_params = {name: p.copy() for name, p in params.items()}
+    oracle = SimpleNamespace(t=0, m={k: np.zeros_like(p) for k, p in params.items()},
+                             v={k: np.zeros_like(p) for k, p in params.items()})
+    state = AdamState(model.params.data)
+    rng = np.random.default_rng(1)
+    grads = model.params.grads
+    for _ in range(20):
+        for name, g in grads.items():
+            # mixed scales, exact zeros and signed zeros
+            g[...] = rng.normal(size=g.shape) * 10.0 ** rng.integers(-6, 3)
+            g[...] = np.where(rng.random(g.shape) < 0.05, -0.0, g)
+        _adam_step_per_array(oracle, oracle_params, {k: g.copy() for k, g in grads.items()},
+                             1e-3)
+        adam_step(state, model.params.data, model.params.grad, 1e-3)
+        for name, p in model.named_parameters().items():
+            assert np.array_equal(p, oracle_params[name]), name
+            assert np.signbit(p).tolist() == np.signbit(oracle_params[name]).tolist()
+    assert state.t == oracle.t == 20
+
+
+def test_parameters_and_tape_gradients_are_views_of_the_flat_vectors():
+    model = IntegrationModel(InputMode.CONCAT, 4, 3, np.random.default_rng(0))
+    sizes = 0
+    for name, p in model.named_parameters().items():
+        assert np.shares_memory(p, model.params.data), name
+        assert np.shares_memory(model.params.grads[name], model.params.grad), name
+        sizes += p.size
+    assert sizes == model.params.data.size == model.params.grad.size
+    assert np.shares_memory(model.sv_weight, model.params.data)
+    tape = GradientTape()
+    x = np.random.default_rng(1).normal(size=(6, model.input_dim))
+    model.spoof_scores(x, tape)
+    tape.backward(np.ones(6))
+    assert set(tape.grads) == set(model.named_parameters()) - {"sv_weight"}
+    for name, g in tape.grads.items():
+        assert g is model.params.grads[name], name
 
 
 def _fresh_model(ds, mode=InputMode.CONCAT, seed=3):
@@ -99,6 +164,17 @@ def test_zero_learning_rate_freezes_parameters(tiny_dataset):
         assert np.array_equal(value, before[name]), name
     # running statistics are state, not parameters: they still advance
     assert not np.array_equal(model.bn.running_mean, running_before)
+
+
+def test_training_frees_the_gradient_vector(tiny_dataset):
+    ds = tiny_dataset
+    model = _fresh_model(ds)
+    train(model, ds.sv_store, ds.cm_store, ds.protocols["train"],
+          ds.protocols["dev"], TrainConfig(epochs=1, seed=0), OneClassSoftmaxConfig())
+    assert model.params._grad is None
+    # the next use gets a zeroed vector of the same layout
+    assert model.params.grad.shape == model.params.data.shape
+    assert not model.params.grad.any()
 
 
 def test_training_is_deterministic(tiny_dataset):
