@@ -128,9 +128,10 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model_and_stores(args):
-    ckpt = load_checkpoint(args.model)
-    model = training.model_from_checkpoint(ckpt)
+def _load_model_and_stores(model_path: str, args):
+    """The checkpoint's model and the stores it scores, loaded as it was
+    trained; --normalize-embeddings may only repeat the checkpoint's setting."""
+    model = training.model_from_checkpoint(load_checkpoint(model_path))
     requested = _parse_on_off(args.normalize_embeddings)
     if requested is not None and requested != model.normalize_embeddings:
         raise DataError(
@@ -139,6 +140,12 @@ def _load_model_and_stores(args):
         )
     sv_store, cm_store = _load_stores(args.sv_emb, args.cm_emb,
                                       model.normalize_embeddings)
+    if (sv_store.dimension, cm_store.dimension) != (model.sv_dim, model.cm_dim):
+        raise DataError(
+            f"the embeddings have sv_dim {sv_store.dimension} and cm_dim "
+            f"{cm_store.dimension}, the checkpoint was trained on sv_dim "
+            f"{model.sv_dim} and cm_dim {model.cm_dim}"
+        )
     return model, sv_store, cm_store
 
 
@@ -150,7 +157,7 @@ def cmd_eval(args) -> int:
         _require(args.model and args.sv_emb and args.cm_emb and args.eval_protocol,
                  "eval needs either --scores or all of --model, --sv-emb, "
                  "--cm-emb and --eval-protocol")
-        model, sv_store, cm_store = _load_model_and_stores(args)
+        model, sv_store, cm_store = _load_model_and_stores(args.model, args)
         protocol = load_protocol(args.eval_protocol, "eval")
         records = score_protocol(model, protocol, sv_store, cm_store)
         os.makedirs(args.out, exist_ok=True)
@@ -163,7 +170,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_score(args) -> int:
-    model, sv_store, cm_store = _load_model_and_stores(args)
+    model, sv_store, cm_store = _load_model_and_stores(args.model, args)
     protocol = load_protocol(args.eval_protocol, "eval")
     records = score_protocol(model, protocol, sv_store, cm_store)
     os.makedirs(args.out, exist_ok=True)
@@ -178,10 +185,7 @@ def cmd_baseline(args) -> int:
     _require(not needs_dev or args.dev_protocol,
              f"baseline --kind {args.kind} needs --dev-protocol for fitting")
     if args.cm_model:
-        ckpt = load_checkpoint(args.cm_model)
-        cm_model = training.model_from_checkpoint(ckpt)
-        sv_store, cm_store = _load_stores(args.sv_emb, args.cm_emb,
-                                          cm_model.normalize_embeddings)
+        cm_model, sv_store, cm_store = _load_model_and_stores(args.cm_model, args)
         source = baselines.CmScoreSource.from_model(cm_model, sv_store, cm_store)
     else:
         normalize = args.normalize_embeddings == "on"
@@ -321,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     bl.add_argument("--dev-protocol")
     bl.add_argument("--eval-protocol", "--protocol", dest="eval_protocol",
                     required=True)
-    bl.add_argument("--normalize-embeddings", choices=["on", "off"], default="off")
+    bl.add_argument("--normalize-embeddings", choices=["on", "off"])
     bl.add_argument("--out", required=True)
     bl.set_defaults(func=cmd_baseline)
 

@@ -71,10 +71,8 @@ def check_linear(seed: int) -> float:
     tape = GradientTape()
     layer.forward(x, tape)
     gx = tape.backward(upstream)
-    params = {"weight": layer.weight, "bias": layer.bias, "x": x}
-    grads = {"weight": tape.grads["linear.weight"],
-             "bias": tape.grads["linear.bias"], "x": gx}
-    return check_gradients(params, grads, loss_fn)
+    return check_gradients({**layer.parameters(), "x": x}, {**layer.grads, "x": gx},
+                           loss_fn)
 
 
 def check_batch_norm(seed: int) -> float:
@@ -91,9 +89,8 @@ def check_batch_norm(seed: int) -> float:
     tape = GradientTape()
     layer.forward(x, tape)
     gx = tape.backward(upstream)
-    params = {"gamma": layer.gamma, "beta": layer.beta, "x": x}
-    grads = {"gamma": tape.grads["bn.gamma"], "beta": tape.grads["bn.beta"], "x": gx}
-    return check_gradients(params, grads, loss_fn)
+    return check_gradients({**layer.parameters(), "x": x}, {**layer.grads, "x": gx},
+                           loss_fn)
 
 
 def check_leaky_relu(seed: int) -> float:
@@ -123,9 +120,8 @@ def check_cosine_head(seed: int) -> float:
     tape = GradientTape()
     layer.forward(e, tape)
     ge = tape.backward(upstream)
-    params = {"direction": layer.direction, "e": e}
-    grads = {"direction": tape.grads["head.direction"], "e": ge}
-    return check_gradients(params, grads, loss_fn)
+    return check_gradients({**layer.parameters(), "e": e}, {**layer.grads, "e": ge},
+                           loss_fn)
 
 
 def _composite_inputs(model: IntegrationModel, rng: np.random.Generator,

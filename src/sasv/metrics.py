@@ -152,6 +152,8 @@ def load_scores(path: str) -> list[ScoreRecord]:
                 records.append(ScoreRecord(Trial(row[0], row[1], label), *values))
         except UnicodeDecodeError:
             raise DataError(f"{path}: not UTF-8 text") from None
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     if not records:
         raise DataError(f"{path}: no score records found")
     return records

@@ -73,21 +73,23 @@ class IntegrationModel:
         d_in = mode.input_dim(sv_dim, cm_dim)
         self.bn = BatchNormLayer(d_in, name="bn")
         self.h1 = LinearLayer.init(rng, d_in, HIDDEN_SIZES[0], name="h1")
+        self.act1 = LeakyReluLayer(name="act1")
         self.h2 = LinearLayer.init(rng, HIDDEN_SIZES[0], HIDDEN_SIZES[1], name="h2")
+        self.act2 = LeakyReluLayer(name="act2")
         self.h3 = LinearLayer.init(rng, HIDDEN_SIZES[1], HIDDEN_SIZES[2], name="h3")
+        self.act3 = LeakyReluLayer(name="act3")
         self.proj = LinearLayer.init(rng, HIDDEN_SIZES[2], EMBED_DIM, name="proj")
         self.head = CosineHead.init(rng, EMBED_DIM, name="head")
-        self.act1 = LeakyReluLayer(name="act1")
-        self.act2 = LeakyReluLayer(name="act2")
-        self.act3 = LeakyReluLayer(name="act3")
-        # every trainable array, then the fused-score weight on the SV cosine
-        # (trained jointly with the net), in one buffer; the layers hold views
-        layers = (self.bn, self.h1, self.h2, self.h3, self.proj, self.head)
+        # the forward order; the layers' parameters in this order, then the
+        # fused-score weight on the SV cosine (trained jointly with the net),
+        # fill one buffer in the checkpoint's order, and the layers hold views
+        self.layers = (self.bn, self.h1, self.act1, self.h2, self.act2, self.h3,
+                       self.act3, self.proj, self.head)
         arrays = {f"{layer.name}.{pname}": arr
-                  for layer in layers for pname, arr in layer.parameters().items()}
+                  for layer in self.layers for pname, arr in layer.parameters().items()}
         arrays["sv_weight"] = np.array(1.0)
         self.params = ParameterBuffer(arrays)
-        for layer in layers:
+        for layer in self.layers:
             layer.bind(self.params, prefix=f"{layer.name}.")
         self.sv_weight = self.params.values["sv_weight"]
 
@@ -117,12 +119,9 @@ class IntegrationModel:
             raise DataError(
                 f"expected input of shape [N, {self.input_dim}], got {x.shape}"
             )
-        h = self.bn.forward(x, tape)
-        h = self.act1.forward(self.h1.forward(h, tape), tape)
-        h = self.act2.forward(self.h2.forward(h, tape), tape)
-        h = self.act3.forward(self.h3.forward(h, tape), tape)
-        e_spf = self.proj.forward(h, tape)
-        return self.head.forward(e_spf, tape)
+        for layer in self.layers:
+            x = layer.forward(x, tape)
+        return x
 
     def fuse(self, s_sv: np.ndarray, s_spf: np.ndarray) -> np.ndarray:
         return float(self.sv_weight) * np.asarray(s_sv) + np.asarray(s_spf)

@@ -1,9 +1,12 @@
 """Dense network kernel: float64 layers with hand-written backward passes.
 
 Training-mode forward passes record their activations on an explicit
-GradientTape; backward walks the tape in reverse and writes each parameter
-gradient into the layer's gradient buffer. Eval-mode forward (tape=None) is
-pure and touches no state, so concurrent scoring is safe.
+GradientTape; backward walks the tape in reverse, and each layer writes its
+parameter gradients into its gradient views and returns its input gradient.
+The tape holds no gradients. A layer may be recorded at most once per tape,
+because its backward overwrites its gradients instead of adding to them.
+Eval-mode forward (tape=None) is pure and touches no state, so concurrent
+scoring is safe.
 
 A layer's parameters are views into one ParameterBuffer, and its gradients
 views into the buffer's gradient vector of the same layout. A layer built on
@@ -77,17 +80,12 @@ class GradientTape:
     """Stack of (layer, cache) entries recorded by training-mode forwards.
 
     backward(upstream) consumes the stack in reverse order and returns the
-    gradient with respect to the network input. Each layer writes its
-    parameter gradients into its own gradient views: the first contribution
-    on this tape is written, later ones (a layer applied twice) are added.
-    .grads maps '<layer name>.<param name>' to those views, so a later
-    backward through the same layers on another tape overwrites them.
+    gradient with respect to the network input; each layer's backward has
+    written its parameter gradients into that layer's gradient views.
     """
 
     def __init__(self):
         self._stack: list[tuple] = []
-        self._written: set = set()  # layers whose gradients this tape wrote
-        self.grads: dict[str, np.ndarray] = {}
 
     def push(self, layer, cache) -> None:
         self._stack.append((layer, cache))
@@ -97,12 +95,7 @@ class GradientTape:
             raise RuntimeError("backward() called with no recorded forward pass")
         grad = upstream
         for layer, cache in reversed(self._stack):
-            accumulate = layer in self._written
-            grad, param_grads = layer.backward(cache, grad, accumulate)
-            if not accumulate:
-                self._written.add(layer)
-                for pname, pgrad in param_grads.items():
-                    self.grads[f"{layer.name}.{pname}"] = pgrad
+            grad = layer.backward(cache, grad)
         self._stack.clear()
         return grad
 
@@ -132,14 +125,6 @@ class _Layer:
         return {pname: grads[self._prefix + pname] for pname in self.PARAMS}
 
 
-def _put(dst: np.ndarray, value, accumulate: bool) -> None:
-    # a write, not a zero-fill and an add, so a first -0.0 keeps its sign
-    if accumulate:
-        dst += value
-    else:
-        dst[...] = value
-
-
 class LinearLayer(_Layer):
     """y = x @ W^T + b with W of shape [out, in]."""
 
@@ -166,56 +151,52 @@ class LinearLayer(_Layer):
             tape.push(self, x)
         return y
 
-    def backward(self, x, gy, accumulate: bool = False):
+    def backward(self, x, gy):
         grads = self.grads
-        if accumulate:
-            grads["weight"] += gy.T @ x
-        else:
-            np.matmul(gy.T, x, out=grads["weight"])
-        _put(grads["bias"], gy.sum(axis=0), accumulate)
-        return gy @ self.weight, grads
+        np.matmul(gy.T, x, out=grads["weight"])
+        grads["bias"][...] = gy.sum(axis=0)
+        return gy @ self.weight
 
 
 class LeakyReluLayer(_Layer):
-    def __init__(self, slope: float = LEAKY_SLOPE, name: str = "lrelu"):
-        self.slope = slope
+    """max(x, LEAKY_SLOPE * x) elementwise; no parameters."""
+
+    def __init__(self, name: str = "lrelu"):
         self.name = name
         self._own({})
 
     def forward(self, x: np.ndarray, tape: GradientTape | None = None) -> np.ndarray:
         # the kink at exactly zero takes the positive branch
-        factor = np.where(x >= 0.0, 1.0, self.slope)
+        factor = np.where(x >= 0.0, 1.0, LEAKY_SLOPE)
         if tape is None:  # nothing keeps the factor: reuse its memory
             return np.multiply(x, factor, out=factor)
         tape.push(self, factor)
         return x * factor
 
-    def backward(self, factor, gy, accumulate: bool = False):
-        return gy * factor, self.grads
+    def backward(self, factor, gy):
+        return gy * factor
 
 
 class BatchNormLayer(_Layer):
     """Batch normalization over the batch axis.
 
     Training mode normalizes with biased batch statistics (divisor N) and
-    updates running stats as running <- (1-momentum)*running + momentum*batch.
+    updates running stats as running <- (1-m)*running + m*batch with
+    m = BN_MOMENTUM; both modes add BN_EPS to the variance.
     Eval mode normalizes with the running stats and mutates nothing.
     """
 
     PARAMS = ("gamma", "beta")
 
-    def __init__(self, dim: int, eps: float = BN_EPS, momentum: float = BN_MOMENTUM,
-                 name: str = "bn"):
+    def __init__(self, dim: int, name: str = "bn"):
         self._own({"gamma": np.ones(dim), "beta": np.zeros(dim)})
         self.running_mean = np.zeros(dim, dtype=np.float64)
         self.running_var = np.ones(dim, dtype=np.float64)
-        self.eps = eps
-        self.momentum = momentum
         self.name = name
 
     def forward(self, x: np.ndarray, tape: GradientTape | None = None) -> np.ndarray:
         if tape is None:
-            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+            inv_std = 1.0 / np.sqrt(self.running_var + BN_EPS)
             return self.gamma * (x - self.running_mean) * inv_std + self.beta
         n = x.shape[0]
         if n < 2:
@@ -223,10 +204,10 @@ class BatchNormLayer(_Layer):
         mean = x.mean(axis=0)
         x_centered = x - mean
         var = (x_centered * x_centered).sum(axis=0) / n  # biased, as x.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         x_hat = x_centered * inv_std
         y = self.gamma * x_hat + self.beta
-        m = self.momentum
+        m = BN_MOMENTUM
         self.running_mean *= 1.0 - m
         self.running_mean += m * mean
         self.running_var *= 1.0 - m
@@ -234,18 +215,18 @@ class BatchNormLayer(_Layer):
         tape.push(self, (x_hat, x_centered, inv_std))
         return y
 
-    def backward(self, cache, gy, accumulate: bool = False):
+    def backward(self, cache, gy):
         x_hat, x_centered, inv_std = cache
         n = x_hat.shape[0]
         grads = self.grads
-        _put(grads["gamma"], (gy * x_hat).sum(axis=0), accumulate)
-        _put(grads["beta"], gy.sum(axis=0), accumulate)
+        grads["gamma"][...] = (gy * x_hat).sum(axis=0)
+        grads["beta"][...] = gy.sum(axis=0)
         dx_hat = gy * self.gamma
         # chain rule through the batch statistics, not just the affine part
         dvar = (dx_hat * x_centered).sum(axis=0) * -0.5 * inv_std**3
         dmean = -(dx_hat.sum(axis=0)) * inv_std + dvar * (-2.0 / n) * x_centered.sum(axis=0)
         gx = dx_hat * inv_std + dvar * (2.0 / n) * x_centered + dmean / n
-        return gx, grads
+        return gx
 
 
 class CosineHead(_Layer):
@@ -277,12 +258,11 @@ class CosineHead(_Layer):
             tape.push(self, (e, scores, norms_e, norm_w))
         return scores
 
-    def backward(self, cache, gs, accumulate: bool = False):
+    def backward(self, cache, gs):
         e, scores, norms_e, norm_w = cache
         w = self.direction
         ge = gs[:, None] * (w[None, :] / (norms_e[:, None] * norm_w)
                             - scores[:, None] * e / norms_e[:, None] ** 2)
         gw = (gs / norms_e) @ e / norm_w - float(gs @ scores) * w / norm_w**2
-        grads = self.grads
-        _put(grads["direction"], gw, accumulate)
-        return ge, grads
+        self.grads["direction"][...] = gw
+        return ge

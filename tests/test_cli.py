@@ -294,13 +294,31 @@ def test_checkpoint_dims_that_disagree_with_its_arrays_exit_2(workspace, tmp_pat
 
 def test_normalization_contradiction_exits_2(workspace, tmp_path):
     data, model = workspace["data"], workspace["model"]
-    args = ["eval", "--model", str(model),
-            "--sv-emb", str(data / "sv_embeddings.tsv"),
-            "--cm-emb", str(data / "cm_embeddings.tsv"),
-            "--eval-protocol", str(data / "eval_protocol.tsv"),
-            "--normalize-embeddings", "on",  # checkpoint was trained with off
-            "--out", str(tmp_path / "x")]
-    assert _run(args) == 2
+    stores = ["--sv-emb", str(data / "sv_embeddings.tsv"),
+              "--cm-emb", str(data / "cm_embeddings.tsv"),
+              "--eval-protocol", str(data / "eval_protocol.tsv"),
+              "--normalize-embeddings", "on"]  # checkpoint was trained with off
+    for i, command in enumerate((["eval", "--model", str(model)],
+                                 ["score", "--model", str(model)],
+                                 ["baseline", "--kind", "sum", "--cm-model", str(model)])):
+        assert _run(command + stores + ["--out", str(tmp_path / f"x{i}")]) == 2, command[0]
+
+
+def test_store_dims_that_disagree_with_the_checkpoint_exit_2(workspace, tmp_path,
+                                                             capsys):
+    # the checkpoint was trained on sv_dim 6 and cm_dim 5; these stores are 5
+    # and 6, the same concat width, so only a dims check can tell
+    data, model = tmp_path / "data", str(workspace["model"])
+    assert _run(["synth", "--out", str(data), "--seed", "7", "--speakers", "8",
+                 "--utts", "3", "--spoofs", "3", "--sv-dim", "5", "--cm-dim", "6"]) == 0
+    stores = ["--sv-emb", str(data / "sv_embeddings.tsv"),
+              "--cm-emb", str(data / "cm_embeddings.tsv"),
+              "--eval-protocol", str(data / "eval_protocol.tsv")]
+    for i, command in enumerate((["eval", "--model", model],
+                                 ["score", "--model", model],
+                                 ["baseline", "--kind", "sum", "--cm-model", model])):
+        assert _run(command + stores + ["--out", str(tmp_path / f"x{i}")]) == 2, command[0]
+        assert "the checkpoint was trained on sv_dim 6 and cm_dim 5" in capsys.readouterr().err
 
 
 def test_numeric_errors_exit_3(workspace, tmp_path):

@@ -202,6 +202,11 @@ def test_load_scores_rejects_bad_files(tmp_path):
     path.write_text("enroll_id,test_id,label,s_sv,s_spf,s_sasv\n")
     with pytest.raises(DataError, match="no score records"):
         load_scores(str(path))
+    # past the csv module's field size limit: its csv.Error, with the line
+    path.write_text("enroll_id,test_id,label,s_sv,s_spf,s_sasv\ne1,t1,target,1,2,3\n"
+                    f"e1,{'t' * 131_073},target,1,2,3\n")
+    with pytest.raises(DataError, match=":3: field larger than field limit"):
+        load_scores(str(path))
 
 
 def test_written_report_keeps_full_precision(tmp_path):

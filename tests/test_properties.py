@@ -6,7 +6,9 @@ of protocol scoring; and any id a store accepts must survive a save and load.
 Inputs are drawn as seeds and sizes, then built with NumPy, so one example
 can hold several scoring chunks' worth of trials. The metrics are checked
 against brute force: the cascade fit against one full EER per candidate
-threshold, and the EER against strictly increasing maps of the scores.
+threshold, and the EER against strictly increasing maps of the scores. Any
+file given to a text parser (embeddings, protocol, scores, CM scores) must
+give a result or a DataError, as must any damaged checkpoint.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sasv.baselines import (CmScoreSource, _gated_prefix_eers, cascade_scores,
-                            fit_cascade)
+                            fit_cascade, load_cm_scores)
 from sasv.checkpoint import Checkpoint, checkpoint_from_bytes, checkpoint_to_bytes
 from sasv.core import (DataError, EmbeddingStore, Protocol, Trial, TrialLabel,
-                       load_embeddings, save_embeddings)
+                       load_embeddings, load_protocol, save_embeddings)
 from sasv.loss import OneClassSoftmaxConfig
-from sasv.metrics import eer
+from sasv.metrics import SCORE_CSV_HEADER, eer, load_scores
 from sasv.model import InputMode, IntegrationModel, score_protocol
 from sasv.training import TrainConfig, model_from_checkpoint, model_to_checkpoint
 
@@ -258,3 +260,54 @@ def test_an_overflowing_array_shape_is_a_data_error():
     body += struct.pack("<I", 1) + struct.pack("<H", 1) + b"a" + header
     with pytest.raises(DataError, match="truncated"):
         checkpoint_from_bytes(_reseal(body))
+
+
+PARSERS = {
+    "embeddings": lambda path: load_embeddings(path, "sv"),
+    "protocol": load_protocol,
+    "scores": load_scores,
+    "cm_scores": load_cm_scores,
+}
+ID = st.sampled_from(["u1", "u2", "u3"])
+NUMBER = st.sampled_from(["0.5", "-1e-3", "-0", "1_0", "1e999", "nan", "inf"])
+LABEL = st.sampled_from(["target", "nontarget", " Spoof", "fake"])
+# each format's separator and fields, in order
+FORMATS = {
+    "embeddings": ("\t", (ID, st.lists(NUMBER, min_size=1, max_size=3).map(" ".join))),
+    "protocol": ("\t", (ID, ID, LABEL)),
+    "scores": (",", (ID, ID, LABEL, NUMBER, NUMBER, NUMBER)),
+    "cm_scores": ("\t", (ID, NUMBER)),
+}
+ANY_FIELD = st.one_of(st.sampled_from(["", " ", "#", '"', "'", "\t", ","]),
+                      st.text(st.characters(codec="utf-8"), max_size=8))
+
+
+@st.composite
+def parser_inputs(draw):
+    """A parser's name and a file for it: lines of its format, of its format
+    with fields swapped for any text, or of any text; or any bytes."""
+    name = draw(st.sampled_from(sorted(PARSERS)))
+    if draw(st.integers(0, 5)) == 0:
+        return name, draw(st.binary(max_size=40))
+    sep, fields = FORMATS[name]
+    lines = draw(st.lists(st.one_of(
+        st.tuples(*fields).map(sep.join),
+        st.tuples(*(st.one_of(f, ANY_FIELD) for f in fields)).map(sep.join),
+        st.lists(ANY_FIELD, max_size=4).map(sep.join)), max_size=5))
+    if name == "scores" and draw(st.booleans()):
+        lines.insert(0, ",".join(SCORE_CSV_HEADER))
+    return name, draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines).encode()
+
+
+@settings(PROPERTY, max_examples=300)
+@given(case=parser_inputs())
+@example(case=("scores", (",".join(SCORE_CSV_HEADER) + "\ne1,t1,target,1,2,3\ne1,"
+                          + "t" * 131_073 + ",target,1,2,3\n").encode()))
+def test_any_file_parses_or_raises_data_error(tmp_path, case):
+    name, blob = case
+    path = tmp_path / "input"
+    path.write_bytes(blob)
+    try:
+        PARSERS[name](str(path))
+    except DataError:
+        pass

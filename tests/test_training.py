@@ -116,8 +116,10 @@ def test_parameters_and_tape_gradients_are_views_of_the_flat_vectors():
     x = np.random.default_rng(1).normal(size=(6, model.input_dim))
     model.spoof_scores(x, tape)
     tape.backward(np.ones(6))
-    assert set(tape.grads) == set(model.named_parameters()) - {"sv_weight"}
-    for name, g in tape.grads.items():
+    layer_grads = {f"{layer.name}.{pname}": g
+                   for layer in model.layers for pname, g in layer.grads.items()}
+    assert set(layer_grads) == set(model.named_parameters()) - {"sv_weight"}
+    for name, g in layer_grads.items():
         assert g is model.params.grads[name], name
 
 
