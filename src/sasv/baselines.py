@@ -22,6 +22,8 @@ from .training import AdamState, adam_step
 
 BASELINE_KINDS = ("sum", "cascade", "logreg")
 CASCADE_FLOOR = -2.0  # the score of a CM-gated trial, below the cosine range [-1, 1]
+LOGREG_STEPS = 1000
+LOGREG_LR = 1e-2
 
 
 def load_cm_scores(path: str) -> dict[str, float]:
@@ -203,12 +205,11 @@ class LogisticFusion:
         return sigmoid(u)
 
 
-def fit_logreg(s_sv, s_cm, labels: list[TrialLabel], steps: int = 1000,
-               lr: float = 1e-2) -> LogisticFusion:
+def fit_logreg(s_sv, s_cm, labels: list[TrialLabel]) -> LogisticFusion:
     """Binary logistic regression (target = 1) on the two scores.
 
-    Full-batch Adam from zero-initialized weights; the sigmoid output is the
-    fused score.
+    LOGREG_STEPS full-batch Adam steps at learning rate LOGREG_LR from
+    zero-initialized weights; the sigmoid output is the fused score.
     """
     s_sv = np.asarray(s_sv, dtype=np.float64)
     s_cm = np.asarray(s_cm, dtype=np.float64)
@@ -219,13 +220,13 @@ def fit_logreg(s_sv, s_cm, labels: list[TrialLabel], steps: int = 1000,
     grads = np.empty(3)
     adam = AdamState(params)
     n = y.size
-    for _ in range(steps):
+    for _ in range(LOGREG_STEPS):
         u = params[0] * s_sv + params[1] * s_cm + params[2]
         r = (sigmoid(u) - y) / n
         grads[0] = r @ s_sv
         grads[1] = r @ s_cm
         grads[2] = r.sum()
-        adam_step(adam, params, grads, lr)
+        adam_step(adam, params, grads, LOGREG_LR)
     return LogisticFusion(weight=params[:2].copy(), bias=float(params[2]))
 
 

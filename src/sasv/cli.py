@@ -185,11 +185,12 @@ def cmd_baseline(args) -> int:
     _require(not needs_dev or args.dev_protocol,
              f"baseline --kind {args.kind} needs --dev-protocol for fitting")
     if args.cm_model:
+        _require(args.cm_emb, "baseline --cm-model needs --cm-emb")
         cm_model, sv_store, cm_store = _load_model_and_stores(args.cm_model, args)
         source = baselines.CmScoreSource.from_model(cm_model, sv_store, cm_store)
     else:
-        normalize = args.normalize_embeddings == "on"
-        sv_store, _ = _load_stores(args.sv_emb, args.cm_emb, normalize)
+        sv_store = load_embeddings(args.sv_emb, "sv",
+                                   normalize=args.normalize_embeddings == "on")
         source = baselines.CmScoreSource.from_table(
             baselines.load_cm_scores(args.cm_scores))
     eval_protocol = load_protocol(args.eval_protocol, "eval")
@@ -317,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bl = commands.add_parser("baseline", help="run a score-fusion baseline")
     bl.add_argument("--kind", required=True, choices=list(baselines.BASELINE_KINDS))
-    _add_store_flags(bl)
+    bl.add_argument("--sv-emb", required=True, help="SV embedding file")
+    bl.add_argument("--cm-emb", help="CM embedding file, read with --cm-model")
     cm_src = bl.add_mutually_exclusive_group(required=True)
     cm_src.add_argument("--cm-scores", help="per-utterance ID<TAB>score file")
     cm_src.add_argument("--cm-model",

@@ -146,7 +146,9 @@ def _composite_inputs(model: IntegrationModel, rng: np.random.Generator,
 def check_composite(seed: int, coords_per_param: int | None = 48,
                     sv_dim: int = 8, cm_dim: int = 8, batch: int = 6) -> float:
     """Full integration model plus the one-class loss, every parameter checked
-    (sampled coordinates by default; the real 256/128/64 stack is ~50k params)."""
+    (sampled coordinates by default; the real 256/128/64 stack is ~50k params).
+    The analytic gradients come from IntegrationModel.training_loss, the step
+    that training runs."""
     rng = np.random.default_rng(seed)
     model = IntegrationModel(InputMode.CONCAT, sv_dim, cm_dim, rng)
     x = _composite_inputs(model, rng, batch)
@@ -159,12 +161,8 @@ def check_composite(seed: int, coords_per_param: int | None = 48,
         value, _ = one_class_softmax(loss_cfg, model.fuse(s_sv, s_spf), z)
         return value
 
-    tape = GradientTape()
-    s_spf = model.spoof_scores(x, tape)
-    _, g_sasv = one_class_softmax(loss_cfg, model.fuse(s_sv, s_spf), z)
-    tape.backward(g_sasv)
-    model.params.grads["sv_weight"][()] = g_sasv @ s_sv
-    return check_gradients(model.named_parameters(), model.params.grads, loss_fn,
+    model.training_loss(x, s_sv, z, loss_cfg)
+    return check_gradients(model.params.values, model.params.grads, loss_fn,
                            coords_per_param=coords_per_param, rng=rng)
 
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import (DataError, EmbeddingStore, Protocol, ScoreRecord, TrialRows,
                    check_protocol_ids, sv_scores)
+from .loss import OneClassSoftmaxConfig, one_class_softmax
 from .neuralnet import (BatchNormLayer, CosineHead, GradientTape, LeakyReluLayer,
                         LinearLayer, ParameterBuffer)
 
@@ -97,10 +98,12 @@ class IntegrationModel:
     def input_dim(self) -> int:
         return self.mode.input_dim(self.sv_dim, self.cm_dim)
 
-    def named_parameters(self) -> dict[str, np.ndarray]:
-        """Trainable parameters in a fixed order; the arrays are views into
-        self.params.data, and self.params.grads holds their gradients."""
-        return dict(self.params.values)
+    def state(self) -> dict[str, np.ndarray]:
+        """The arrays a checkpoint holds, in its order: every parameter view
+        of self.params, then the batch-norm running statistics. They are the
+        model's own arrays, so writing into them sets the model's state."""
+        return {**self.params.values, "bn.running_mean": self.bn.running_mean,
+                "bn.running_var": self.bn.running_var}
 
     def assemble_batch(self, rows: TrialRows, sv_store: EmbeddingStore,
                        cm_store: EmbeddingStore) -> np.ndarray:
@@ -125,6 +128,18 @@ class IntegrationModel:
 
     def fuse(self, s_sv: np.ndarray, s_spf: np.ndarray) -> np.ndarray:
         return float(self.sv_weight) * np.asarray(s_sv) + np.asarray(s_spf)
+
+    def training_loss(self, x: np.ndarray, s_sv: np.ndarray, z: np.ndarray,
+                      loss_cfg: OneClassSoftmaxConfig) -> float:
+        """One training step on a batch: the one-class softmax loss of the fused
+        scores, with the gradient of every parameter, sv_weight's included,
+        written into self.params.grad."""
+        tape = GradientTape()
+        s_spf = self.spoof_scores(x, tape)
+        loss, g_sasv = one_class_softmax(loss_cfg, self.fuse(s_sv, s_spf), z)
+        tape.backward(g_sasv)  # d s_sasv / d s_spf = 1
+        self.params.grads["sv_weight"][()] = g_sasv @ s_sv
+        return loss
 
 
 def spoof_scores_for(model: IntegrationModel, rows: TrialRows,

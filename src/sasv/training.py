@@ -17,10 +17,9 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .core import (DataError, EmbeddingStore, NumericError, Protocol, TrialLabel,
                    check_protocol_ids, sv_scores)
-from .loss import OneClassSoftmaxConfig, one_class_softmax
+from .loss import OneClassSoftmaxConfig
 from .metrics import sasv_report
 from .model import HIDDEN_SIZES, InputMode, IntegrationModel, score_protocol
-from .neuralnet import GradientTape
 
 log = logging.getLogger(__name__)
 
@@ -109,17 +108,6 @@ def _require_classes(protocol: Protocol, role: str) -> None:
         )
 
 
-def _snapshot(model: IntegrationModel) -> tuple[np.ndarray, ...]:
-    return (model.params.data.copy(), model.bn.running_mean.copy(),
-            model.bn.running_var.copy())
-
-
-def _restore(model: IntegrationModel, state: tuple[np.ndarray, ...]) -> None:
-    for target, saved in zip((model.params.data, model.bn.running_mean,
-                              model.bn.running_var), state):
-        np.copyto(target, saved)
-
-
 def train(model: IntegrationModel, sv_store: EmbeddingStore, cm_store: EmbeddingStore,
           train_protocol: Protocol, dev_protocol: Protocol, cfg: TrainConfig,
           loss_cfg: OneClassSoftmaxConfig) -> TrainResult:
@@ -141,10 +129,9 @@ def train(model: IntegrationModel, sv_store: EmbeddingStore, cm_store: Embedding
     n = len(train_protocol)
 
     params = model.params
-    sv_weight_grad = params.grads["sv_weight"]
     adam = AdamState(params.data)
     history: list[EpochStats] = []
-    best_state: tuple[np.ndarray, ...] | None = None
+    best_state: dict[str, np.ndarray] = {}
     best_metric = math.inf
     best_epoch = 0
 
@@ -156,14 +143,10 @@ def train(model: IntegrationModel, sv_store: EmbeddingStore, cm_store: Embedding
             idx = order[start:start + cfg.batch_size]
             if idx.size < 2:
                 continue  # a leftover single trial cannot be batch-normalized
-            tape = GradientTape()
-            s_spf = model.spoof_scores(x_all[idx], tape)
-            s_sasv = model.fuse(s_sv_all[idx], s_spf)
-            batch_loss, g_sasv = one_class_softmax(loss_cfg, s_sasv, z_all[idx])
+            batch_loss = model.training_loss(x_all[idx], s_sv_all[idx], z_all[idx],
+                                             loss_cfg)
             if not math.isfinite(batch_loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
-            tape.backward(g_sasv)  # d s_sasv / d s_spf = 1, fills params.grad
-            sv_weight_grad[()] = g_sasv @ s_sv_all[idx]
             adam_step(adam, params.data, params.grad, cfg.learning_rate,
                       cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon)
             loss_sum += batch_loss * idx.size
@@ -184,9 +167,10 @@ def train(model: IntegrationModel, sv_store: EmbeddingStore, cm_store: Embedding
         if report.sasv.eer < best_metric:
             best_metric = report.sasv.eer
             best_epoch = epoch
-            best_state = _snapshot(model)
+            best_state = {name: a.copy() for name, a in model.state().items()}
 
-    _restore(model, best_state)
+    for name, a in model.state().items():
+        np.copyto(a, best_state[name])
     params.free_grad()
     return TrainResult(model=model, history=history, best_epoch=best_epoch,
                        best_dev_sasv_eer=best_metric)
@@ -219,10 +203,7 @@ def model_to_checkpoint(model: IntegrationModel, train_cfg: TrainConfig,
         "best_epoch": best_epoch,
         "best_dev_sasv_eer": best_dev_sasv_eer,
     }
-    arrays = dict(model.named_parameters())
-    arrays["bn.running_mean"] = model.bn.running_mean
-    arrays["bn.running_var"] = model.bn.running_var
-    return Checkpoint(kind="integration", meta=meta, arrays=arrays)
+    return Checkpoint(kind="integration", meta=meta, arrays=model.state())
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> IntegrationModel:
@@ -247,9 +228,7 @@ def model_from_checkpoint(ckpt: Checkpoint) -> IntegrationModel:
             )
     model = IntegrationModel(mode, sv_dim, cm_dim, rng=np.random.default_rng(0),
                              normalize_embeddings=normalize)
-    expected = dict(model.named_parameters())
-    expected["bn.running_mean"] = model.bn.running_mean
-    expected["bn.running_var"] = model.bn.running_var
+    expected = model.state()
     if set(expected) != set(ckpt.arrays):
         missing = sorted(set(expected) ^ set(ckpt.arrays))
         raise DataError(f"checkpoint arrays do not match the model: {missing}")

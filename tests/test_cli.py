@@ -158,17 +158,21 @@ def test_baseline_with_cm_model(workspace, tmp_path):
     assert (out / "eer_report.csv").exists()
 
 
-def test_baseline_with_score_table_and_fitting(workspace, tmp_path):
-    data = workspace["data"]
-    # hand a constant CM table covering every test utterance
+def _cm_table(data, path):
+    """A constant CM score table covering every dev and eval test utterance."""
     utts = set()
     for proto in ("dev_protocol.tsv", "eval_protocol.tsv"):
         for line in (data / proto).read_text().splitlines():
             if line.strip():
                 utts.add(line.split("\t")[1])
-    table = tmp_path / "cm_scores.tsv"
-    table.write_text("".join(f"{u}\t{0.5 if '_U' in u else -0.5}\n"
-                             for u in sorted(utts)))
+    path.write_text("".join(f"{u}\t{0.5 if '_U' in u else -0.5}\n"
+                            for u in sorted(utts)))
+    return path
+
+
+def test_baseline_with_score_table_and_fitting(workspace, tmp_path):
+    data = workspace["data"]
+    table = _cm_table(data, tmp_path / "cm_scores.tsv")
     out = tmp_path / "casc"
     args = ["baseline", "--kind", "cascade",
             "--sv-emb", str(data / "sv_embeddings.tsv"),
@@ -188,6 +192,23 @@ def test_baseline_with_score_table_and_fitting(workspace, tmp_path):
                    "--eval-protocol", str(data / "eval_protocol.tsv"),
                    "--out", str(tmp_path / "nope")]
     assert _run(missing_dev) == 1  # fitting without --dev-protocol is usage
+
+
+def test_baseline_with_score_table_reads_no_cm_embeddings(workspace, tmp_path):
+    data, model = workspace["data"], workspace["model"]
+    table = _cm_table(data, tmp_path / "cm_scores.tsv")
+    common = ["baseline", "--kind", "logreg",
+              "--sv-emb", str(data / "sv_embeddings.tsv"),
+              "--dev-protocol", str(data / "dev_protocol.tsv"),
+              "--eval-protocol", str(data / "eval_protocol.tsv")]
+    with_flag, without = tmp_path / "with", tmp_path / "without"
+    assert _run(common + ["--cm-emb", str(data / "cm_embeddings.tsv"),
+                          "--cm-scores", str(table), "--out", str(with_flag)]) == 0
+    assert _run(common + ["--cm-scores", str(table), "--out", str(without)]) == 0
+    for name in ("scores.csv", "eer_report.csv"):
+        assert filecmp.cmp(with_flag / name, without / name, shallow=False), name
+    # the model scores CM embeddings, so --cm-model still needs them
+    assert _run(common + ["--cm-model", str(model), "--out", str(tmp_path / "x")]) == 1
 
 
 def test_gradcheck_runs_and_reports(tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 
 from sasv import gradcheck
+from sasv.model import IntegrationModel
 
 
 def test_relative_error_uses_guarded_denominator():
@@ -67,3 +68,17 @@ def test_run_gradient_checks_covers_all_components():
     assert set(results) == set(gradcheck.COMPONENTS)
     for name, worst in results.items():
         assert worst < gradcheck.REL_TOL, name
+
+
+def test_composite_audits_the_training_step(monkeypatch):
+    # the audit must read its analytic gradients from the step `train` runs:
+    # a wrong sv_weight gradient there must fail the composite check
+    step = IntegrationModel.training_loss
+
+    def sv_weight_negated(model, *args):
+        loss = step(model, *args)
+        model.params.grads["sv_weight"] *= -1.0
+        return loss
+
+    monkeypatch.setattr(IntegrationModel, "training_loss", sv_weight_negated)
+    assert gradcheck.check_composite(0, coords_per_param=8) > gradcheck.REL_TOL

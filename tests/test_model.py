@@ -163,9 +163,9 @@ def test_spoof_scores_rejects_bad_shapes():
         model.spoof_scores(np.ones((3, SV_DIM + CM_DIM + 1)))
 
 
-def test_named_parameters_registry():
+def test_parameter_registry_and_state():
     model = _model()
-    params = model.named_parameters()
+    params = model.params.values
     expected = {"bn.gamma", "bn.beta", "sv_weight", "head.direction"}
     for name in ("h1", "h2", "h3", "proj"):
         expected |= {f"{name}.weight", f"{name}.bias"}
@@ -176,6 +176,14 @@ def test_named_parameters_registry():
     # live references, not copies: the optimizer updates these in place
     params["h1.bias"][0] = 123.0
     assert model.h1.bias[0] == 123.0
+    # the checkpoint's arrays: the parameters in buffer order, then the
+    # running statistics, each the model's own array
+    state = model.state()
+    assert list(state) == [*params, "bn.running_mean", "bn.running_var"]
+    assert state["bn.running_var"] is model.bn.running_var
+    state["bn.running_mean"][0] = 7.0
+    state["sv_weight"][()] = 2.5
+    assert model.bn.running_mean[0] == 7.0 and float(model.sv_weight) == 2.5
 
 
 def test_score_protocol_is_deterministic_and_batch_invariant():

@@ -8,11 +8,13 @@ can hold several scoring chunks' worth of trials. The metrics are checked
 against brute force: the cascade fit against one full EER per candidate
 threshold, and the EER against strictly increasing maps of the scores. Any
 file given to a text parser (embeddings, protocol, scores, CM scores) must
-give a result or a DataError, as must any damaged checkpoint.
+give a result or a DataError, as must any damaged checkpoint, and the
+command line must end in a documented exit code whatever input file it reads.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 import zlib
 
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from sasv import cli
 from sasv.baselines import (CmScoreSource, _gated_prefix_eers, cascade_scores,
                             fit_cascade, load_cm_scores)
 from sasv.checkpoint import Checkpoint, checkpoint_from_bytes, checkpoint_to_bytes
@@ -311,3 +314,77 @@ def test_any_file_parses_or_raises_data_error(tmp_path, case):
         PARSERS[name](str(path))
     except DataError:
         pass
+
+
+# each command's input files, by flag, and its fixed flags
+CLI_RUNS = {
+    "train": (["train", "--epochs", "1"],
+              ("--sv-emb", "--cm-emb", "--train-protocol", "--dev-protocol")),
+    "eval": (["eval"], ("--scores",)),
+    "score": (["score"], ("--model", "--sv-emb", "--cm-emb", "--eval-protocol")),
+    "baseline": (["baseline", "--kind", "cascade"],
+                 ("--sv-emb", "--cm-scores", "--dev-protocol", "--eval-protocol")),
+}
+
+EXTREME_NUMBERS = ["0", "-0", "1e-320", "1e308", "-1e308", "nan", "inf"]
+NUMBER_FIELD = re.compile(r"(?<=[\t ,])[-+]?[0-9][0-9.e+-]*(?=[ ,]|$)")
+
+
+def _exit_code(argv) -> int:
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse's own exit on bad usage
+        return exc.code
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """A tiny valid workspace: every input file of CLI_RUNS, by flag."""
+    root = tmp_path_factory.mktemp("cli_fuzz")
+    data, run = root / "data", root / "run"
+    assert cli.main(["synth", "--out", str(data), "--seed", "7", "--speakers", "6",
+                     "--utts", "2", "--spoofs", "2", "--sv-dim", "3", "--cm-dim", "2"]) == 0
+    files = {"--sv-emb": data / "sv_embeddings.tsv", "--cm-emb": data / "cm_embeddings.tsv",
+             "--train-protocol": data / "train_protocol.tsv",
+             "--dev-protocol": data / "dev_protocol.tsv",
+             "--eval-protocol": data / "eval_protocol.tsv",
+             "--model": run / "model.ckpt", "--scores": run / "scores.csv",
+             "--cm-scores": root / "cm_scores.tsv"}
+    stores = ["--sv-emb", str(files["--sv-emb"]), "--cm-emb", str(files["--cm-emb"])]
+    assert cli.main(["train", *stores, "--epochs", "1", "--out", str(run),
+                     "--train-protocol", str(files["--train-protocol"]),
+                     "--dev-protocol", str(files["--dev-protocol"])]) == 0
+    assert cli.main(["score", "--model", str(files["--model"]), *stores, "--out", str(run),
+                     "--eval-protocol", str(files["--eval-protocol"])]) == 0
+    ids = [line.split("\t")[0] for line in files["--cm-emb"].read_text().splitlines()]
+    files["--cm-scores"].write_text("".join(f"{u}\t{i % 3 - 1}\n" for i, u in enumerate(ids)))
+    return root, files
+
+
+@settings(PROPERTY, max_examples=80)
+@given(run=st.sampled_from(sorted(CLI_RUNS)), data=st.data())
+def test_any_input_file_ends_in_a_documented_exit_code(cli_files, run, data):
+    root, files = cli_files
+    fixed, inputs = CLI_RUNS[run]
+    target = data.draw(st.sampled_from(inputs), label="input")
+    valid = files[target].read_bytes()
+    lines = [line for path in files.values() if path.suffix != ".ckpt"
+             for line in path.read_text().splitlines()]
+    any_line = st.one_of(st.text(max_size=24), st.sampled_from(lines))
+    kinds = [st.binary(max_size=64),
+             st.integers(0, len(valid)).map(lambda n: valid[:n]),
+             st.lists(any_line, max_size=6).map(lambda chosen: "\n".join(chosen).encode())]
+    if target != "--model":
+        own = valid.decode().splitlines()
+        i = data.draw(st.integers(0, len(own) - 1), label="line")
+        # the valid file with one line swapped, or with its numbers all set to one value
+        swapped = st.one_of(any_line, st.sampled_from(EXTREME_NUMBERS).map(
+            lambda v: NUMBER_FIELD.sub(v, own[i])))
+        kinds.append(swapped.map(lambda new: "\n".join(own[:i] + [new] + own[i + 1:]).encode()))
+    blob = data.draw(st.one_of(kinds), label="contents")
+    garbage = root / "garbage"
+    garbage.write_bytes(blob)
+    argv = list(fixed)
+    for flag in inputs:
+        argv += [flag, str(garbage if flag == target else files[flag])]
+    assert _exit_code(argv + ["--out", str(root / "out")]) in (0, 1, 2, 3)

@@ -81,7 +81,7 @@ def _adam_step_per_array(state, params, grads, lr, beta1=0.9, beta2=0.999, eps=1
 def test_flat_adam_equals_the_per_array_update():
     model = IntegrationModel(InputMode.CONCAT_PLUS_ENROLL, 5, 3,
                              np.random.default_rng(0))
-    params = model.named_parameters()
+    params = model.params.values
     assert len(params) == 12 and params["sv_weight"].shape == ()
     oracle_params = {name: p.copy() for name, p in params.items()}
     oracle = SimpleNamespace(t=0, m={k: np.zeros_like(p) for k, p in params.items()},
@@ -97,7 +97,7 @@ def test_flat_adam_equals_the_per_array_update():
         _adam_step_per_array(oracle, oracle_params, {k: g.copy() for k, g in grads.items()},
                              1e-3)
         adam_step(state, model.params.data, model.params.grad, 1e-3)
-        for name, p in model.named_parameters().items():
+        for name, p in model.params.values.items():
             assert np.array_equal(p, oracle_params[name]), name
             assert np.signbit(p).tolist() == np.signbit(oracle_params[name]).tolist()
     assert state.t == oracle.t == 20
@@ -106,7 +106,7 @@ def test_flat_adam_equals_the_per_array_update():
 def test_parameters_and_tape_gradients_are_views_of_the_flat_vectors():
     model = IntegrationModel(InputMode.CONCAT, 4, 3, np.random.default_rng(0))
     sizes = 0
-    for name, p in model.named_parameters().items():
+    for name, p in model.params.values.items():
         assert np.shares_memory(p, model.params.data), name
         assert np.shares_memory(model.params.grads[name], model.params.grad), name
         sizes += p.size
@@ -118,7 +118,7 @@ def test_parameters_and_tape_gradients_are_views_of_the_flat_vectors():
     tape.backward(np.ones(6))
     layer_grads = {f"{layer.name}.{pname}": g
                    for layer in model.layers for pname, g in layer.grads.items()}
-    assert set(layer_grads) == set(model.named_parameters()) - {"sv_weight"}
+    assert set(layer_grads) == set(model.params.values) - {"sv_weight"}
     for name, g in layer_grads.items():
         assert g is model.params.grads[name], name
 
@@ -157,12 +157,12 @@ def test_best_epoch_model_is_restored(tiny_dataset, tiny_trained):
 def test_zero_learning_rate_freezes_parameters(tiny_dataset):
     ds = tiny_dataset
     model = _fresh_model(ds)
-    before = {k: v.copy() for k, v in model.named_parameters().items()}
+    before = {k: v.copy() for k, v in model.params.values.items()}
     running_before = model.bn.running_mean.copy()
     train(model, ds.sv_store, ds.cm_store, ds.protocols["train"],
           ds.protocols["dev"], TrainConfig(epochs=2, learning_rate=0.0, seed=0),
           OneClassSoftmaxConfig())
-    for name, value in model.named_parameters().items():
+    for name, value in model.params.values.items():
         assert np.array_equal(value, before[name]), name
     # running statistics are state, not parameters: they still advance
     assert not np.array_equal(model.bn.running_mean, running_before)
@@ -205,8 +205,8 @@ def test_model_checkpoint_round_trip(tiny_dataset, tiny_trained):
     revived = model_from_checkpoint(checkpoint_from_bytes(checkpoint_to_bytes(ckpt)))
     assert revived.mode is tiny_trained.model.mode
     assert revived.normalize_embeddings == tiny_trained.model.normalize_embeddings
-    original = tiny_trained.model.named_parameters()
-    for name, value in revived.named_parameters().items():
+    original = tiny_trained.model.params.values
+    for name, value in revived.params.values.items():
         assert np.array_equal(value, original[name]), name
     assert np.array_equal(revived.bn.running_mean, tiny_trained.model.bn.running_mean)
     assert np.array_equal(revived.bn.running_var, tiny_trained.model.bn.running_var)
