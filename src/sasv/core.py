@@ -160,25 +160,51 @@ class TrialRows(NamedTuple):
     test_cm: np.ndarray | None
 
 
+def _pow2_scaled_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row times the power of two that brings its max-abs into [0.5, 1),
+    so its sum of squares can neither overflow nor underflow. The scaling is
+    exact, so a cosine computed from the result keeps the plain formula's bits
+    wherever that formula was in range. A zero or non-finite row is left as is."""
+    _, exponent = np.frexp(np.abs(rows).max(axis=1, keepdims=True, initial=0.0))
+    return np.ldexp(rows, -exponent)
+
+
 def length_normalize(values: np.ndarray) -> np.ndarray:
     """Scale a vector to unit Euclidean norm. Zero-norm input is an error, not an epsilon."""
     vec = np.asarray(values, dtype=np.float64)
+    # one power of two for the whole array, as `_pow2_scaled_rows` takes per row
+    vec = np.ldexp(vec, -math.frexp(np.abs(vec).max(initial=0.0))[1])
     norm = float(np.linalg.norm(vec))
     if norm == 0.0 or not math.isfinite(norm):
         raise NumericError("cannot length-normalize a zero-norm or non-finite vector")
     return vec / norm
 
 
+# rows per block of `cosine_rows`: the scaled copies of a block are all it
+# allocates beyond its result, so a long protocol costs no more memory than
+# the plain formula's one product did
+_COSINE_BLOCK = 4096
+
+
 def cosine_rows(a, b) -> np.ndarray:
     """Row-wise cosine similarity of two [N, D] arrays, clamped to [-1, 1].
-    A row's value depends on that row alone. Zero-norm rows are a NumericError."""
+    A row's value depends on that row alone. Zero-norm or non-finite rows are
+    a NumericError. Each row is first scaled by a power of two, so finite
+    entries of any size give the right cosine."""
     av = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
-    na = np.sqrt((av * av).sum(axis=1))
-    nb = np.sqrt((bv * bv).sum(axis=1))
-    if np.any(na == 0.0) or np.any(nb == 0.0):
-        raise NumericError("cosine of a zero-norm vector is undefined")
-    return np.clip((av * bv).sum(axis=1) / (na * nb), -1.0, 1.0)
+    if av.shape != bv.shape or av.ndim != 2:
+        raise ValueError(f"cosine_rows needs two [N, D] arrays of one shape, got "
+                         f"{av.shape} and {bv.shape}")
+    cos = np.empty(len(av))
+    for lo in range(0, len(av), _COSINE_BLOCK):
+        block = slice(lo, lo + _COSINE_BLOCK)
+        ab, bb = _pow2_scaled_rows(av[block]), _pow2_scaled_rows(bv[block])
+        norms = np.sqrt((ab * ab).sum(axis=1)) * np.sqrt((bb * bb).sum(axis=1))
+        if not np.all((norms > 0.0) & (norms < np.inf)):
+            raise NumericError("cosine of a zero-norm or non-finite vector is undefined")
+        cos[block] = (ab * bb).sum(axis=1) / norms
+    return np.clip(cos, -1.0, 1.0, out=cos)
 
 
 def cosine(a, b) -> float:

@@ -1,8 +1,10 @@
 """Joint training of the integration net and the SV fusion weight.
 
 Adam with bias-corrected moments, seeded epoch shuffling, and best-epoch
-selection on dev SASV-EER (ties keep the earlier epoch). The SV cosine inputs
-are computed once up front since the subsystem embeddings are frozen.
+selection on dev SASV-EER (ties keep the earlier epoch). Training stops after
+the first epoch of dev SASV-EER 0.0, since no later epoch can then be chosen.
+The SV cosine inputs are computed once up front since the subsystem embeddings
+are frozen.
 """
 
 from __future__ import annotations
@@ -168,6 +170,12 @@ def train(model: IntegrationModel, sv_store: EmbeddingStore, cm_store: Embedding
             best_metric = report.sasv.eer
             best_epoch = epoch
             best_state = {name: a.copy() for name, a in model.state().items()}
+        if best_metric == 0.0:
+            # an EER is never below 0.0 and a later tie never replaces the
+            # best epoch, so no later epoch can change the result
+            log.info("dev SASV-EER reached 0.0 at epoch %d of %d: "
+                     "no later epoch can be chosen", epoch, cfg.epochs)
+            break
 
     for name, a in model.state().items():
         np.copyto(a, best_state[name])

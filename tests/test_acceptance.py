@@ -170,13 +170,20 @@ def test_end_to_end_synthetic_benchmark():
     absolute = proposed.sasv.eer <= 0.02
     no_sv_harm = proposed.sv.eer <= sv_only.sv.eer + 0.02
     beats = proposed.sasv.eer < sum_eer and proposed.sasv.eer < logreg_eer
+    # both reach dev SASV-EER 0.0 and train no epoch past it
+    stopped = all(len(r.history) == r.best_epoch and r.best_dev_sasv_eer == 0.0
+                  for r in (concat, cm_only))
     _verdict(
-        spoof_blind and absolute and no_sv_harm and beats and elapsed < 180.0,
+        spoof_blind and absolute and no_sv_harm and beats and stopped
+        and elapsed < 180.0,
         "benchmark: sv-only spf-eer "
         f"{sv_only.spf.eer:.4f} (wanted 0.40..0.60), fused sasv-eer "
         f"{proposed.sasv.eer:.4f} <= 0.02, sv-eer {proposed.sv.eer:.4f} vs "
         f"sv-only {sv_only.sv.eer:.4f}+0.02, sum {sum_eer:.4f}, logreg "
-        f"{logreg_eer:.4f}, in {elapsed:.0f}s (budget 180s)",
+        f"{logreg_eer:.4f}, stopped at epochs {len(concat.history)} and "
+        f"{len(cm_only.history)} of {BENCH_TRAIN.epochs} (wanted the dev-EER-0.0 "
+        f"epochs {concat.best_epoch} and {cm_only.best_epoch}), "
+        f"in {elapsed:.0f}s (budget 180s)",
     )
 
 

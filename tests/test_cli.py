@@ -78,7 +78,7 @@ def test_train_artifacts(workspace):
     assert ckpt.meta["mode"] == "concat"
     assert ckpt.meta["train"]["epochs"] == 2
     history = (run / "history.csv").read_text().splitlines()
-    assert len(history) == 3  # header + one row per epoch
+    assert len(history) == 3  # header + one row per epoch run
 
 
 def test_eval_writes_scores_and_report(workspace, tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,8 +60,49 @@ def test_cosine_rows_is_the_row_wise_cosine():
                        for u, v in ((a[i], b[i]), (a[i], a[i]), (b[i], b[i])))
         assert abs(rows[i] - dot / math.sqrt(na * nb)) < 1e-15
     assert np.array_equal(cosine_rows(a[::3], b[::3]), rows[::3])
+    # rows past the first block of 4096 get the same bits as scored alone
+    long_a, long_b = np.tile(a, (103, 1)), np.tile(b, (103, 1))
+    assert np.array_equal(cosine_rows(long_a, long_b), np.tile(rows, 103))
     with pytest.raises(NumericError):
         cosine_rows(np.ones((2, 3)), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="one shape"):
+        cosine_rows(np.ones((5000, 3)), np.ones((4097, 3)))
+
+
+def test_cosine_rows_survive_overflow_and_underflow():
+    # the plain squared norms of these finite, non-zero rows overflow to inf
+    # or underflow to 0
+    a = np.array([[1e200, 1e200], [1e200, 1e200], [1e-170, 1e-170], [1e-170, 0.0],
+                  [-1e200, 0.0], [1.0, 0.0]])
+    b = np.array([[1.0, 1.0], [1e200, 1e200], [1.0, 1.0], [0.0, 1.0],
+                  [1e-200, 0.0], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = cosine_rows(a, b)
+    assert np.allclose(rows[:3], 1.0, rtol=0, atol=1e-15)
+    assert rows[3] == 0.0 and rows[4] == -1.0
+    # a row in range keeps the plain formula's bits
+    assert rows[5] == 0.7071067811865475
+    with pytest.raises(NumericError, match="zero-norm"):
+        cosine_rows([[1e-170, 1e-170], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(NumericError, match="non-finite"):
+        cosine_rows([[math.inf, 1.0]], [[1.0, 1.0]])
+
+
+def test_length_normalize_out_of_the_plain_norm_range():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        v = rng.normal(size=6)
+        # a power of two scales exactly, so the unit vector keeps every bit
+        for k in (700, -530, -1000):
+            assert np.array_equal(length_normalize(v * 2.0**k), length_normalize(v))
+    for big in ([1e200, 1e200], [1e-170, 1e-170]):
+        assert np.allclose(length_normalize(big), [0.5**0.5] * 2, rtol=0, atol=1e-15)
+    # an array is normalized as a whole, by one scale for all its rows
+    m = np.array([[3e200, 0.0], [0.0, 4e200]])
+    assert np.allclose(length_normalize(m), [[0.6, 0.0], [0.0, 0.8]], rtol=0, atol=1e-15)
+    with pytest.raises(NumericError, match="non-finite"):
+        length_normalize([math.inf, 1.0])
 
 
 def test_length_normalize():

@@ -6,7 +6,9 @@ of protocol scoring; and any id a store accepts must survive a save and load.
 Inputs are drawn as seeds and sizes, then built with NumPy, so one example
 can hold several scoring chunks' worth of trials. The metrics are checked
 against brute force: the cascade fit against one full EER per candidate
-threshold, and the EER against strictly increasing maps of the scores. Any
+threshold, and the EER against strictly increasing maps of the scores; the
+EER also stays in [0, 1] with a clear sign bit, and the cosine of two rows is
+unchanged by scaling either of them by a positive factor. Any
 file given to a text parser (embeddings, protocol, scores, CM scores) must
 give a result or a DataError, as must any damaged checkpoint, and the
 command line must end in a documented exit code whatever input file it reads.
@@ -20,7 +22,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from sasv import cli
@@ -28,7 +30,7 @@ from sasv.baselines import (CmScoreSource, _gated_prefix_eers, cascade_scores,
                             fit_cascade, load_cm_scores)
 from sasv.checkpoint import Checkpoint, checkpoint_from_bytes, checkpoint_to_bytes
 from sasv.core import (DataError, EmbeddingStore, Protocol, Trial, TrialLabel,
-                       load_embeddings, load_protocol, save_embeddings)
+                       cosine_rows, load_embeddings, load_protocol, save_embeddings)
 from sasv.loss import OneClassSoftmaxConfig
 from sasv.metrics import SCORE_CSV_HEADER, eer, load_scores
 from sasv.model import InputMode, IntegrationModel, score_protocol
@@ -184,6 +186,48 @@ def test_eer_is_invariant_under_increasing_maps(pos, neg):
     base = _f64(eer(pos, neg).eer)
     for f in (lambda x: 3.0 * x + 1.0, np.exp):
         assert _f64(eer(f(pos), f(neg)).eer) == base
+
+
+# any finite score, or one of a few values so that many tie
+SCORES = st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                            st.integers(-2, 2).map(float)), min_size=1, max_size=30)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(pos=SCORES, neg=SCORES, repeat=st.integers(1, 3), shared=st.booleans())
+@example(pos=[1.0], neg=[0.0], repeat=1, shared=False)  # separated: 0.0
+@example(pos=[-0.0], neg=[1.0], repeat=2, shared=False)  # reversed: 1.0
+def test_eer_lies_in_the_unit_interval_with_a_clear_sign_bit(pos, neg, repeat, shared):
+    # training stops at the first epoch of dev SASV-EER 0.0; that is exact only
+    # because no EER is below +0.0
+    pos = np.repeat(pos, repeat)  # duplicated scores
+    neg = np.concatenate([neg, pos]) if shared else np.array(neg)  # tied across classes
+    rate = eer(pos, neg).eer
+    assert 0.0 <= rate <= 1.0
+    assert not np.signbit(rate)
+
+
+# components either 0 or of a size that stays a normal float after any scaling
+# in [1e-300, 1e300]
+COMPONENT = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6))
+VECTOR_PAIR = st.integers(1, 6).flatmap(
+    lambda d: st.tuples(*[st.lists(COMPONENT, min_size=d, max_size=d)] * 2))
+
+
+@PROPERTY
+@given(pair=VECTOR_PAIR, scale_a=st.floats(1e-300, 1e300), scale_b=st.floats(1e-300, 1e300),
+       k=st.sampled_from([-1000, -530, -3, 0, 5, 530, 1000]))
+@example(pair=([1.0, 1.0], [1.0, 1.0]), scale_a=1e200, scale_b=1.0, k=1000)
+@example(pair=([1.0, 1.0], [1.0, 1.0]), scale_a=1e-170, scale_b=1.0, k=-530)
+def test_cosine_is_unchanged_by_positive_scaling(pair, scale_a, scale_b, k):
+    a, b = (np.array([v]) for v in pair)
+    assume(a.any() and b.any())
+    base = cosine_rows(a, b)[0]
+    assert abs(cosine_rows(a * scale_a, b * scale_b)[0] - base) <= 1e-12
+    # a power of two scales exactly: not one bit moves, also where the plain
+    # squared norm would be subnormal (k = -530) or overflow
+    assert _f64(cosine_rows(a * 2.0**k, b)[0]) == _f64(base)
+    assert _f64(cosine_rows(a * 2.0**k, b * 2.0**-k)[0]) == _f64(base)
 
 
 def _valid_checkpoint() -> Checkpoint:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import logging
 import math
 from types import SimpleNamespace
 
@@ -137,9 +138,33 @@ def test_training_reduces_the_loss(tiny_dataset):
     assert result.history[-1].train_loss < result.history[0].train_loss
 
 
+def _train_tiny(ds, epochs):
+    # reaches dev SASV-EER 0.0 first at epoch 4
+    return train(_fresh_model(ds), ds.sv_store, ds.cm_store, ds.protocols["train"],
+                 ds.protocols["dev"], TrainConfig(epochs=epochs, learning_rate=1e-3, seed=0),
+                 OneClassSoftmaxConfig())
+
+
+def test_training_stops_at_the_first_epoch_of_dev_sasv_eer_zero(tiny_dataset, caplog):
+    with caplog.at_level(logging.INFO, logger="sasv.training"):
+        result = _train_tiny(tiny_dataset, epochs=5)
+    assert [h.epoch for h in result.history] == [1, 2, 3, 4]
+    assert [h.dev_sasv_eer == 0.0 for h in result.history] == [False] * 3 + [True]
+    assert result.best_epoch == 4 and result.best_dev_sasv_eer == 0.0
+    assert ("dev SASV-EER reached 0.0 at epoch 4 of 5: no later epoch can be chosen"
+            in caplog.messages)
+    # the model kept is, byte for byte, the one a run of exactly 4 epochs keeps
+    exact = _train_tiny(tiny_dataset, epochs=4).model.state()
+    assert list(result.model.state()) == list(exact)
+    for name, a in result.model.state().items():
+        assert a.tobytes() == exact[name].tobytes(), name
+
+
 def test_history_covers_every_epoch(tiny_trained):
     history = tiny_trained.history
+    # dev SASV-EER never reaches 0.0 here, so every configured epoch runs
     assert [h.epoch for h in history] == [1, 2]
+    assert all(h.dev_sasv_eer > 0.0 for h in history)
     for row in history:
         assert math.isfinite(row.train_loss)
         assert 0.0 <= row.dev_sasv_eer <= 1.0
