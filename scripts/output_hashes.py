@@ -6,6 +6,8 @@ runs, in a temporary directory and against the `sasv` package under --src
 (this checkout's `src/` by default):
 
 - `synth` at 30 speakers, 20+20 utts, seed 1;
+- a second `synth` at odd dims (7/5) with a spoof SV offset, so the hashes
+  also cover the odd-length Box-Muller trim and the offset path;
 - `train` in `concat`, `cm_only` and `concat_plus_enroll` mode at 40 epochs,
   and `eval` of each model;
 - `baseline` `sum`, `cascade` and `logreg` with the `cm_only` model as the
@@ -40,6 +42,9 @@ def run_pipeline(src: str, work: str) -> None:
     data = os.path.join(work, "data")
     _sasv(src, "synth", "--speakers", "30", "--utts", "20", "--spoofs", "20",
           "--seed", "1", "--out", data)
+    _sasv(src, "synth", "--speakers", "12", "--utts", "5", "--spoofs", "3", "--sv-dim", "7",
+          "--cm-dim", "5", "--spoof-sv-offset", "0.3", "--seed", "4",
+          "--out", os.path.join(work, "data_odd"))
     stores = ["--sv-emb", os.path.join(data, "sv_embeddings.tsv"),
               "--cm-emb", os.path.join(data, "cm_embeddings.tsv")]
     dev = os.path.join(data, "dev_protocol.tsv")

@@ -79,9 +79,18 @@ class Protocol:
         return out
 
 
-# ids that an embedding file cannot hold: a field or line break, a lone
-# surrogate (not UTF-8), or a comment marker after leading whitespace
-_UNSAVABLE_ID = re.compile(r"[\t\n\r\ud800-\udfff]|^\s*#")
+# ids that an embedding file cannot hold: empty, or holding a field or line
+# break or a lone surrogate (not UTF-8), or a comment marker after leading
+# whitespace. Searched over many ids at once: the characters in the ids
+# joined, the comment marker at the start of each line of the ids joined by LF.
+_ID_BREAK = re.compile(r"[\t\n\r\ud800-\udfff]")
+_ID_COMMENT = re.compile(r"^\s*#", re.MULTILINE)
+
+
+def _unsavable_ids(ids: list[str]) -> bool:
+    """Whether some id breaks the rule above: no miss, and no false alarm."""
+    return ("" in ids or _ID_BREAK.search("".join(ids)) is not None
+            or _ID_COMMENT.search("\n".join(ids)) is not None)
 
 
 class EmbeddingStore:
@@ -101,31 +110,64 @@ class EmbeddingStore:
         self._data = np.empty((0, 0))
 
     def add(self, utt_id: str, values) -> None:
-        if utt_id in self.index:
-            raise DataError(f"duplicate embedding id {utt_id!r} in {self.kind} store")
-        if not utt_id or _UNSAVABLE_ID.search(utt_id):
-            raise DataError(f"embedding id {utt_id!r} is empty, holds a tab, line break "
-                            "or surrogate, or starts with '#'")
-        vec = np.asarray(values, dtype=np.float64)
-        if vec.ndim != 1 or vec.size == 0:
-            raise DataError(f"embedding {utt_id!r} must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(vec)):
-            raise DataError(f"embedding {utt_id!r} contains a non-finite value")
-        if self.dimension is None:
-            self.dimension = vec.size
-            self._data = np.empty((0, vec.size))
-        elif vec.size != self.dimension:
+        self._append([utt_id], np.asarray(values, dtype=np.float64)[None])
+
+    def add_rows(self, ids, rows) -> None:
+        """Append one row per id: `rows` is [len(ids), D]. It fails where adding
+        the rows one by one with `add` would first fail, with that message, and
+        then adds nothing. An empty store takes over a C-contiguous float64
+        array that owns its memory, read-only from then on, instead of copying it."""
+        ids = list(ids)
+        if not ids:
+            raise DataError(f"no embedding ids given to the {self.kind} store")
+        self._append(ids, rows)
+
+    def _append(self, ids: list[str], rows) -> None:
+        n_good, id_fault = len(ids), None  # the ids before the first bad one, its fault
+        fresh = set(ids)
+        if (len(fresh) < len(ids) or not self.index.keys().isdisjoint(fresh)
+                or _unsavable_ids(ids)):
+            seen: set[str] = set()
+            for n_good, utt_id in enumerate(ids):
+                if utt_id in self.index or utt_id in seen:
+                    id_fault = f"duplicate embedding id {utt_id!r} in {self.kind} store"
+                    break
+                if _unsavable_ids([utt_id]):
+                    id_fault = (f"embedding id {utt_id!r} is empty, holds a tab, line "
+                                "break or surrogate, or starts with '#'")
+                    break
+                seen.add(utt_id)
+        if n_good == 0:
+            raise DataError(id_fault)
+        mat = np.asarray(rows, dtype=np.float64)
+        if mat.ndim != 2 or mat.shape[1] == 0:
+            raise DataError(f"embedding {ids[0]!r} must be a non-empty 1-D vector")
+        if len(mat) != len(ids):
+            raise DataError(f"{len(mat)} embedding rows for {len(ids)} ids")
+        n_finite = (len(ids) if np.isfinite(mat).all()
+                    else int(np.argmin(np.isfinite(mat).all(axis=1))))
+        if n_finite > 0 and self.dimension not in (None, mat.shape[1]):
             raise DataError(
-                f"embedding {utt_id!r} has dimension {vec.size}, "
+                f"embedding {ids[0]!r} has dimension {mat.shape[1]}, "
                 f"store expects {self.dimension}"
             )
-        row = len(self.index)
-        if row == self._data.shape[0]:  # grow geometrically: add stays amortized O(D)
-            grown = np.empty((max(16, 2 * row), self.dimension))
-            grown[:row] = self._data[:row]
-            self._data = grown
-        self._data[row] = vec
-        self.index[utt_id] = row
+        if n_finite < n_good:
+            raise DataError(f"embedding {ids[n_finite]!r} contains a non-finite value")
+        if id_fault is not None:
+            raise DataError(id_fault)
+        self.dimension = mat.shape[1]
+        row, end = len(self.index), len(self.index) + len(mat)
+        if row == 0 and mat.flags.owndata and mat.flags.c_contiguous:
+            mat.flags.writeable = False
+            self._data = mat
+        else:
+            if end > len(self._data):  # grow geometrically: `add` stays amortized O(D)
+                grown = np.empty((max(end, 2 * row), self.dimension))
+                if row:
+                    grown[:row] = self._data[:row]
+                self._data = grown
+            self._data[row:end] = mat
+        self.index.update(zip(ids, range(row, end)))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -169,15 +211,24 @@ def _pow2_scaled_rows(rows: np.ndarray) -> np.ndarray:
     return np.ldexp(rows, -exponent)
 
 
-def length_normalize(values: np.ndarray) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm. Zero-norm input is an error, not an epsilon."""
-    vec = np.asarray(values, dtype=np.float64)
-    # one power of two for the whole array, as `_pow2_scaled_rows` takes per row
-    vec = np.ldexp(vec, -math.frexp(np.abs(vec).max(initial=0.0))[1])
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0 or not math.isfinite(norm):
+def length_normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Scale each row of an [N, D] array to unit Euclidean norm: the rows
+    scaled as by `_pow2_scaled_rows`, then divided by the square root of each
+    row's `x @ x` (`np.vecdot` runs the same BLAS dot per row, so a row gets
+    the bits `length_normalize` gives it alone). A zero-norm or non-finite row
+    is an error, not an epsilon."""
+    scaled = _pow2_scaled_rows(np.asarray(rows, dtype=np.float64))
+    norms = np.sqrt(np.vecdot(scaled, scaled))
+    if not np.all((norms > 0.0) & (norms < np.inf)):
         raise NumericError("cannot length-normalize a zero-norm or non-finite vector")
-    return vec / norm
+    return scaled / norms[:, None]
+
+
+def length_normalize(values: np.ndarray) -> np.ndarray:
+    """Scale a vector to unit Euclidean norm. Zero-norm input is an error, not an epsilon.
+    An array of more dimensions is scaled as one vector, to unit Frobenius norm."""
+    vec = np.asarray(values, dtype=np.float64)
+    return length_normalize_rows(vec.reshape(1, -1)).reshape(vec.shape)
 
 
 # rows per block of `cosine_rows`: the scaled copies of a block are all it

@@ -33,21 +33,14 @@ class OneClassSoftmaxConfig:
 def softplus(a: np.ndarray) -> np.ndarray:
     """log(1 + e^a), stable for large positive and negative a."""
     a = np.asarray(a, dtype=np.float64)
-    out = np.empty_like(a)
-    pos = a > 0.0
-    out[pos] = a[pos] + np.log1p(np.exp(-a[pos]))
-    out[~pos] = np.log1p(np.exp(a[~pos]))
-    return out
+    return np.where(a > 0.0, a, 0.0) + np.log1p(np.exp(-np.abs(a)))
 
 
 def sigmoid(a: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-a), as e^a / (1 + e^a) for negative a: exp never overflows."""
     a = np.asarray(a, dtype=np.float64)
-    out = np.empty_like(a)
-    pos = a >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def one_class_softmax(cfg: OneClassSoftmaxConfig, scores, z) -> tuple[float, np.ndarray]:

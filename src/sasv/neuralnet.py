@@ -182,7 +182,8 @@ class BatchNormLayer(_Layer):
 
     Training mode normalizes with biased batch statistics (divisor N) and
     updates running stats as running <- (1-m)*running + m*batch with
-    m = BN_MOMENTUM; both modes add BN_EPS to the variance.
+    m = BN_MOMENTUM; both modes add BN_EPS to the variance. A batch variance
+    that overflows (entries beyond about 1e154) is a NumericError.
     Eval mode normalizes with the running stats and mutates nothing.
     """
 
@@ -203,7 +204,11 @@ class BatchNormLayer(_Layer):
             raise NumericError("batch norm needs at least 2 rows in training mode")
         mean = x.mean(axis=0)
         x_centered = x - mean
-        var = (x_centered * x_centered).sum(axis=0) / n  # biased, as x.var(axis=0)
+        with np.errstate(over="ignore"):  # an overflow is the error below, not a warning
+            var = (x_centered * x_centered).sum(axis=0) / n  # biased, as x.var(axis=0)
+        if not np.all(np.isfinite(var)):
+            raise NumericError("batch norm variance overflowed: the batch's inputs are "
+                               "too large to square")
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         x_hat = x_centered * inv_std
         y = self.gamma * x_hat + self.beta

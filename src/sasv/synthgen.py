@@ -9,10 +9,14 @@ direction with isotropic cm_noise.
 
 All randomness flows from a single PCG64 stream; gaussians come from an
 explicit Box-Muller transform rather than the generator's ziggurat sampler so
-the draw sequence is pinned down exactly. Draw order: spoof direction, CM
-direction, speaker centroids, then per speaker the enrollment / bonafide /
-spoof utterance noise (SV then CM per utterance), then nontarget trial
-sampling per split in train, dev, eval order.
+the draw sequence is pinned down exactly. A draw of n gaussians takes
+2 * ceil(n / 2) uniforms: the first half as u1, the second as u2. Draw order:
+spoof direction, CM direction, speaker centroids, then per speaker the
+enrollment / bonafide / spoof utterance noise (SV then CM per utterance),
+then nontarget trial sampling per split in train, dev, eval order. Each
+speaker's utterance noise is drawn as one block of uniforms in that order;
+the stream is consumed in order, so block draws give the same numbers as one
+draw per utterance would.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (DataError, EmbeddingStore, Protocol, Trial, TrialLabel,
-                   check_protocol_ids, length_normalize, save_embeddings,
-                   save_protocol, sv_scores)
+                   check_protocol_ids, length_normalize, length_normalize_rows,
+                   save_embeddings, save_protocol, sv_scores)
 
 SPLIT_NAMES = ("train", "dev", "eval")
 
@@ -65,15 +69,23 @@ class SynthDataset:
     spoof_direction: np.ndarray = field(repr=False, default=None)
 
 
-def gaussians(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n standard normals via Box-Muller over PCG64 uniforms."""
-    pairs = (n + 1) // 2
-    u1 = rng.random(pairs)
-    u2 = rng.random(pairs)
+def _box_muller(u: np.ndarray, n: int) -> np.ndarray:
+    """n standard normals from each row of uniforms [..., 2 * pairs], pairs >= n / 2."""
+    pairs = u.shape[-1] // 2
+    u1, u2 = u[..., :pairs], u[..., pairs:]
     radius = np.sqrt(-2.0 * np.log1p(-u1))  # 1-u1 in (0,1], no log(0)
     angle = 2.0 * np.pi * u2
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
-    return z[:n]
+    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+    return z[..., :n]
+
+
+def _uniforms_per_draw(n: int) -> int:
+    return 2 * ((n + 1) // 2)
+
+
+def gaussians(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n standard normals via Box-Muller over PCG64 uniforms."""
+    return _box_muller(rng.random(_uniforms_per_draw(n)), n)
 
 
 def _split_sizes(n_speakers: int) -> tuple[int, int, int]:
@@ -86,34 +98,41 @@ def generate(cfg: SynthConfig) -> SynthDataset:
     spoof_dir = length_normalize(gaussians(rng, cfg.sv_dim))
     cm_dir = length_normalize(gaussians(rng, cfg.cm_dim))
 
-    speakers = [f"S{i + 1:03d}" for i in range(cfg.n_speakers)]
-    centroids = {
-        spk: length_normalize(gaussians(rng, cfg.sv_dim)) for spk in speakers
-    }
+    n_spk, n_bona, n_spoof = cfg.n_speakers, cfg.utts_per_speaker, cfg.spoofs_per_speaker
+    sv_draw, cm_draw = _uniforms_per_draw(cfg.sv_dim), _uniforms_per_draw(cfg.cm_dim)
+    speakers = [f"S{i + 1:03d}" for i in range(n_spk)]
+    centroids = length_normalize_rows(
+        _box_muller(rng.random(n_spk * sv_draw).reshape(n_spk, sv_draw), cfg.sv_dim))
 
-    sv_store = EmbeddingStore("sv")
-    cm_store = EmbeddingStore("cm")
-    bona_utts: dict[str, list[str]] = {spk: [] for spk in speakers}
-    spoof_utts: dict[str, list[str]] = {spk: [] for spk in speakers}
+    # the stores' matrices, at their exact size: per speaker, SV rows
+    # enrollment, bonafide, spoof; CM rows bonafide, spoof
+    n_utts = n_bona + n_spoof
+    sv_rows = np.empty((n_spk * (1 + n_utts), cfg.sv_dim))
+    cm_rows = np.empty((n_spk * n_utts, cfg.cm_dim))
     half_sep = 0.5 * cfg.cm_separation
+    spoof_shift = cfg.spoof_sv_offset * spoof_dir
+    cm_centres = np.repeat([half_sep * cm_dir, -half_sep * cm_dir], [n_bona, n_spoof], axis=0)
+    for i, c in enumerate(centroids):
+        block = rng.random(sv_draw + n_utts * (sv_draw + cm_draw))
+        utts = block[sv_draw:].reshape(n_utts, sv_draw + cm_draw)
+        noise = _box_muller(np.vstack([block[:sv_draw], utts[:, :sv_draw]]), cfg.sv_dim)
+        sv = sv_rows[i * (1 + n_utts):(i + 1) * (1 + n_utts)]
+        sv[:1 + n_bona] = c + cfg.sv_noise * noise[:1 + n_bona]
+        sv[1 + n_bona:] = (c + spoof_shift) + cfg.sv_noise * noise[1 + n_bona:]
+        sv[:] = length_normalize_rows(sv)
+        cm_rows[i * n_utts:(i + 1) * n_utts] = (
+            cm_centres + cfg.cm_noise * _box_muller(utts[:, sv_draw:], cfg.cm_dim))
 
-    for spk in speakers:
-        c = centroids[spk]
-        enroll_id = f"{spk}_E000"
-        sv_store.add(enroll_id, length_normalize(c + cfg.sv_noise * gaussians(rng, cfg.sv_dim)))
-        for j in range(cfg.utts_per_speaker):
-            utt_id = f"{spk}_U{j + 1:03d}"
-            sv_store.add(utt_id, length_normalize(c + cfg.sv_noise * gaussians(rng, cfg.sv_dim)))
-            cm_store.add(utt_id, half_sep * cm_dir + cfg.cm_noise * gaussians(rng, cfg.cm_dim))
-            bona_utts[spk].append(utt_id)
-        for j in range(cfg.spoofs_per_speaker):
-            utt_id = f"{spk}_A{j + 1:03d}"
-            target = c + cfg.spoof_sv_offset * spoof_dir
-            sv_store.add(utt_id, length_normalize(target + cfg.sv_noise * gaussians(rng, cfg.sv_dim)))
-            cm_store.add(utt_id, -half_sep * cm_dir + cfg.cm_noise * gaussians(rng, cfg.cm_dim))
-            spoof_utts[spk].append(utt_id)
+    bona_utts = {spk: [f"{spk}_U{j + 1:03d}" for j in range(n_bona)] for spk in speakers}
+    spoof_utts = {spk: [f"{spk}_A{j + 1:03d}" for j in range(n_spoof)] for spk in speakers}
+    sv_store = EmbeddingStore("sv")
+    sv_store.add_rows([u for spk in speakers
+                       for u in (f"{spk}_E000", *bona_utts[spk], *spoof_utts[spk])], sv_rows)
+    cm_store = EmbeddingStore("cm")
+    cm_store.add_rows([u for spk in speakers for u in (*bona_utts[spk], *spoof_utts[spk])],
+                      cm_rows)
 
-    n_train, n_dev, n_eval = _split_sizes(cfg.n_speakers)
+    n_train, n_dev, n_eval = _split_sizes(n_spk)
     split_speakers = {
         "train": speakers[:n_train],
         "dev": speakers[n_train:n_train + n_dev],
@@ -128,12 +147,15 @@ def generate(cfg: SynthConfig) -> SynthDataset:
             enroll_id = f"{spk}_E000"
             for utt_id in bona_utts[spk]:
                 trials.append(Trial(enroll_id, utt_id, TrialLabel.TARGET))
-        for spk in members:
+        for i, spk in enumerate(members):
             enroll_id = f"{spk}_E000"
-            pool = [u for other in members if other != spk for u in bona_utts[other]]
-            picks = rng.choice(len(pool), size=cfg.utts_per_speaker, replace=False)
-            for k in np.sort(picks):
-                trials.append(Trial(enroll_id, pool[int(k)], TrialLabel.NONTARGET))
+            # a pick k indexes the bonafide utterances of the other members in
+            # member order: utterance j of member m, counting past spk itself
+            picks = rng.choice((len(members) - 1) * n_bona, size=n_bona, replace=False)
+            for k in np.sort(picks).tolist():
+                m, j = divmod(k, n_bona)
+                other = members[m + (m >= i)]
+                trials.append(Trial(enroll_id, bona_utts[other][j], TrialLabel.NONTARGET))
         for spk in members:
             enroll_id = f"{spk}_E000"
             for utt_id in spoof_utts[spk]:

@@ -363,6 +363,24 @@ def test_numeric_errors_exit_3(workspace, tmp_path):
     assert _run(args) == 3
 
 
+def test_train_on_overflowing_cm_embeddings_exits_3(workspace, tmp_path, capsys):
+    data = workspace["data"]
+    # finite CM embeddings whose batch variance overflows when squared
+    lines = []
+    for line in (data / "cm_embeddings.tsv").read_text().splitlines():
+        utt_id, payload = line.split("\t")
+        lines.append(f"{utt_id}\t{' '.join(repr(float(v) * 1e160) for v in payload.split())}")
+    huge = tmp_path / "huge_cm.tsv"
+    huge.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    args = ["train", "--sv-emb", str(data / "sv_embeddings.tsv"), "--cm-emb", str(huge),
+            "--train-protocol", str(data / "train_protocol.tsv"),
+            "--dev-protocol", str(data / "dev_protocol.tsv"),
+            "--epochs", "2", "--out", str(tmp_path / "run")]
+    assert _run(args) == 3
+    assert "numeric error: batch norm variance overflowed" in capsys.readouterr().err
+
+
 def test_bad_log_level_exits_1(workspace, monkeypatch, tmp_path):
     monkeypatch.setenv("SASV_LOG", "chatty")
     assert _run(["synth", "--out", str(tmp_path / "x")]) == 1

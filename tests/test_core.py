@@ -8,8 +8,8 @@ import pytest
 
 from sasv.core import (DataError, EmbeddingStore, NumericError, Protocol, Trial,
                        TrialLabel, check_protocol_ids, cosine, cosine_rows,
-                       length_normalize, load_embeddings, load_protocol,
-                       save_embeddings, save_protocol)
+                       length_normalize, length_normalize_rows, load_embeddings,
+                       load_protocol, save_embeddings, save_protocol)
 
 
 def test_trial_label_parse_and_class_index():
@@ -105,6 +105,37 @@ def test_length_normalize_out_of_the_plain_norm_range():
         length_normalize([math.inf, 1.0])
 
 
+def test_length_normalize_rows_is_length_normalize_of_each_row():
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 7, 16, 33, 160, 193):
+        rows = rng.normal(size=(40, dim)) * rng.uniform(0.1, 10.0, size=(40, 1))
+        # rows whose plain squared norms overflow or underflow
+        rows[1] *= 2.0**700
+        rows[2] *= 2.0**-700
+        rows[3] = rng.uniform(0.5, 1.0, size=dim) * 1e200
+        rows[4] = rng.uniform(0.5, 1.0, size=dim) * 1e-200
+        rows[5, 0] = 1e-200  # one near-subnormal entry beside ordinary ones
+        want = np.array([length_normalize(row) for row in rows])
+        got = length_normalize_rows(rows)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), dim
+        # a row keeps its bits whatever rows share its call
+        assert np.array_equal(length_normalize_rows(rows[3:4]).view(np.uint64),
+                              want[3:4].view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [0.0, math.inf, -math.inf, math.nan])
+def test_length_normalize_rows_rejects_zero_and_non_finite_rows(bad):
+    rows = np.ones((3, 4))
+    rows[1] = 0.0
+    rows[1, 2] = bad
+    with pytest.raises(NumericError) as rows_error:
+        length_normalize_rows(rows)
+    with pytest.raises(NumericError) as vector_error:
+        length_normalize(rows[1])
+    assert str(rows_error.value) == str(vector_error.value)
+    assert "zero-norm or non-finite" in str(rows_error.value)
+
+
 def test_length_normalize():
     v = length_normalize([3.0, 4.0])
     assert np.allclose(v, [0.6, 0.8], rtol=0, atol=1e-16)
@@ -124,6 +155,8 @@ def test_embedding_store_validation():
         store.add("u2", [1.0, 2.0, 3.0])
     with pytest.raises(DataError, match="non-finite"):
         store.add("u3", [1.0, float("nan")])
+    with pytest.raises(DataError, match="non-finite"):  # checked before the dimension
+        store.add("u3", [1.0, float("nan"), 1.0])
     with pytest.raises(DataError, match="u9"):
         store.vector("u9")
     assert "u1" in store and len(store) == 1
@@ -136,6 +169,88 @@ def test_embedding_store_rejects_ids_it_cannot_save(utt_id):
     with pytest.raises(DataError, match="embedding id"):
         store.add(utt_id, [1.0])
     assert len(store) == 0
+
+
+def test_add_rows_appends_like_add():
+    rng = np.random.default_rng(2)
+    rows = rng.normal(size=(37, 3))
+    one_by_one, bulk = EmbeddingStore("cm"), EmbeddingStore("cm")
+    for i, row in enumerate(rows[:5]):
+        one_by_one.add(f"u{i}", row)
+        bulk.add(f"u{i}", row)
+    for i, row in enumerate(rows[5:], start=5):
+        one_by_one.add(f"u{i}", row)
+    bulk.add_rows([f"u{i}" for i in range(5, 37)], rows[5:])
+    assert list(bulk.index.items()) == list(one_by_one.index.items())
+    assert bulk.matrix.tobytes() == one_by_one.matrix.tobytes() == rows.tobytes()
+    bulk.add("last", [1.0, 2.0, 3.0])  # a row after a batch
+    assert bulk.index["last"] == 37 and bulk.matrix.shape == (38, 3)
+    # an empty store takes over an array that owns its memory, without a
+    # copy, and makes it read-only; a view of another array it copies
+    owned = np.array([[1.0, 2.0], [3.0, 4.0]])
+    fresh = EmbeddingStore("sv")
+    fresh.add_rows(["a", "b"], owned)
+    assert np.shares_memory(fresh.matrix, owned) and fresh.dimension == 2
+    with pytest.raises(ValueError):
+        owned[0, 0] = 9.0
+    fresh.add("c", [5.0, 6.0])  # the next row moves the store to a grown copy
+    assert fresh.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    viewed = EmbeddingStore("sv")
+    viewed.add_rows(["a"], rows[:1])
+    assert not np.shares_memory(viewed.matrix, rows) and rows.flags.writeable
+
+
+def _add_error(utt_id, values, existing):
+    """The message `add` gives for one id and row, on a store holding `existing`."""
+    store = EmbeddingStore("sv")
+    for old in existing:
+        store.add(old, [0.5, 0.5])
+    with pytest.raises(DataError) as exc:
+        store.add(utt_id, values)
+    return str(exc.value)
+
+
+# (ids, rows, the failing id and row, the ids of the batch added before it)
+BAD_BATCHES = [
+    (["a", "b", "a"], np.ones((3, 2)), "a", [1.0, 1.0], ["a"]),   # duplicate within the batch
+    (["a", "u0"], np.ones((2, 2)), "u0", [1.0, 1.0], []),         # duplicate of a stored id
+    (["a", "x\ty"], np.ones((2, 2)), "x\ty", [1.0, 1.0], []),
+    (["a", "x\ny"], np.ones((2, 2)), "x\ny", [1.0, 1.0], []),
+    (["a", "\udc80"], np.ones((2, 2)), "\udc80", [1.0, 1.0], []),
+    (["a", " #c"], np.ones((2, 2)), " #c", [1.0, 1.0], []),
+    (["a", ""], np.ones((2, 2)), "", [1.0, 1.0], []),
+    (["a", "b"], np.array([[1.0, 1.0], [1.0, np.nan]]), "b", [1.0, np.nan], []),
+    (["a", "b"], np.array([[1.0, 1.0], [np.inf, 1.0]]), "b", [np.inf, 1.0], []),
+    (["a", "b"], np.ones((2, 3)), "a", [1.0, 1.0, 1.0], []),     # wrong dimension
+    (["a"], np.ones(2), "a", 1.0, []),                           # a 1-D input
+    (["a", "b"], np.ones((2, 0)), "a", [], []),
+    # the first fault in row order wins, as when adding row by row
+    (["a", "u0"], np.array([[1.0, 1.0], [np.nan, 1.0]]), "u0", [np.nan, 1.0], ["a"]),
+    (["a", "u0"], np.array([[np.nan, 1.0], [1.0, 1.0]]), "a", [np.nan, 1.0], []),
+    (["a"], np.array([[np.inf, 1.0, 1.0]]), "a", [np.inf, 1.0, 1.0], []),
+]
+
+
+@pytest.mark.parametrize("ids,rows,bad_id,bad_row,prior", BAD_BATCHES)
+def test_add_rows_rejects_what_add_rejects_and_changes_nothing(ids, rows, bad_id, bad_row,
+                                                               prior):
+    store = EmbeddingStore("sv")
+    store.add("u0", [0.5, 0.5])
+    before = store.matrix.copy()
+    with pytest.raises(DataError) as exc:
+        store.add_rows(ids, rows)
+    assert str(exc.value) == _add_error(bad_id, bad_row, ["u0", *prior])
+    assert list(store.index) == ["u0"] and store.dimension == 2
+    assert store.matrix.tobytes() == before.tobytes()
+
+
+def test_add_rows_needs_one_row_per_id():
+    store = EmbeddingStore("cm")
+    with pytest.raises(DataError, match="3 embedding rows for 2 ids"):
+        store.add_rows(["a", "b"], np.ones((3, 2)))
+    with pytest.raises(DataError, match="no embedding ids"):
+        store.add_rows([], np.ones((0, 2)))
+    assert len(store) == 0 and store.dimension is None
 
 
 def test_embedding_store_is_a_dense_matrix():

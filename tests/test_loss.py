@@ -114,3 +114,35 @@ def test_softplus_and_sigmoid_identities():
     h = 1e-6
     fd = (softplus(a + h) - softplus(a - h)) / (2 * h)
     assert np.allclose(fd, sigmoid(a), rtol=0, atol=1e-5)
+
+
+def _masked_softplus(a):
+    """softplus as it was computed before it went branch-free: one formula per sign."""
+    a = np.asarray(a, dtype=np.float64)
+    out = np.empty_like(a)
+    pos = a > 0.0
+    out[pos] = a[pos] + np.log1p(np.exp(-a[pos]))
+    out[~pos] = np.log1p(np.exp(a[~pos]))
+    return out
+
+
+def _masked_sigmoid(a):
+    a = np.asarray(a, dtype=np.float64)
+    out = np.empty_like(a)
+    pos = a >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ea = np.exp(a[~pos])
+    out[~pos] = ea / (1.0 + ea)
+    return out
+
+
+def test_branch_free_softplus_and_sigmoid_keep_the_masked_bits():
+    rng = np.random.default_rng(4)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 710.0, -745.2,
+                        5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, 36.8, -36.8])
+    for a in (rng.normal(scale=20.0, size=9600), rng.uniform(-900.0, 900.0, size=999),
+              special, special.reshape(3, 5), np.float64(-3.5)):
+        for got, want in ((softplus(a), _masked_softplus(a)),
+                          (sigmoid(a), _masked_sigmoid(a))):
+            assert got.shape == np.shape(a)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

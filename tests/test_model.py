@@ -3,10 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sasv.core import (DataError, EmbeddingStore, Protocol, Trial, TrialLabel,
-                       check_protocol_ids, cosine, sv_scores)
+from sasv.core import (DataError, EmbeddingStore, NumericError, Protocol, Trial,
+                       TrialLabel, check_protocol_ids, cosine, sv_scores)
 from sasv.model import (EMBED_DIM, HIDDEN_SIZES, InputMode, IntegrationModel,
                         score_protocol)
+from sasv.neuralnet import GradientTape
 
 SV_DIM, CM_DIM = 6, 5
 
@@ -207,3 +208,12 @@ def test_score_protocol_checks_ids():
     protocol = Protocol([Trial("u0", "missing", TrialLabel.TARGET)])
     with pytest.raises(DataError, match="missing"):
         score_protocol(model, protocol, sv, cm)
+
+
+def test_training_forward_names_a_batch_variance_overflow():
+    model = IntegrationModel(InputMode.CM_ONLY, 2, 2, np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=(6, 2))
+    assert np.all(np.isfinite(model.spoof_scores(x, GradientTape())))
+    # batch norm is scale-invariant, but squaring entries near 1e160 overflows
+    with pytest.raises(NumericError, match="batch norm variance overflowed"):
+        model.spoof_scores(x * 1e160, GradientTape())

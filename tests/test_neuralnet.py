@@ -132,6 +132,18 @@ def test_batch_norm_single_row_batch_rejected():
     layer.forward(np.ones((1, 3)))  # eval mode is fine with one row
 
 
+def test_batch_norm_variance_overflow_is_named():
+    layer = BatchNormLayer(2)
+    x = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.0]])
+    layer.forward(x, GradientTape())
+    mean_before, var_before = layer.running_mean.copy(), layer.running_var.copy()
+    # finite inputs whose squared deviations overflow
+    with pytest.raises(NumericError, match="batch norm variance overflowed"):
+        layer.forward(x * 1e160, GradientTape())
+    assert np.array_equal(layer.running_mean, mean_before)
+    assert np.array_equal(layer.running_var, var_before)
+
+
 def test_batch_norm_backward_matches_fd():
     rng = np.random.default_rng(6)
     layer = BatchNormLayer(3, name="bn")

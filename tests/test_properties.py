@@ -2,7 +2,8 @@
 
 A trial's scores must depend on that trial alone, whatever other trials share
 its protocol; the CM scores of a model source must equal the spoofing scores
-of protocol scoring; and any id a store accepts must survive a save and load.
+of protocol scoring; any id a store accepts must survive a save and load; and
+a bulk append must end as the same rows added one by one would.
 Inputs are drawn as seeds and sizes, then built with NumPy, so one example
 can hold several scoring chunks' worth of trials. The metrics are checked
 against brute force: the cascade fit against one full EER per candidate
@@ -114,6 +115,53 @@ def test_accepted_ids_round_trip_through_files(tmp_path, ids, values):
     assert list(loaded.index) == list(store.index)
     assert loaded.matrix.tobytes() == store.matrix.tobytes()
 
+
+
+ROW_VALUES = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([np.nan, np.inf, -np.inf, 1e300]))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(prior=st.lists(st.text(ID_CHARS, max_size=3), max_size=3),
+       ids=st.lists(st.text(ID_CHARS, max_size=3), min_size=1, max_size=6),
+       width=st.sampled_from([2, 2, 2, 1, 3]), flat=st.booleans(), data=st.data())
+# a bad id after the rows that are fine, ahead of a non-finite row
+@example(prior=["a"], ids=["b", "a"], width=2, flat=False, data=[1.0, 1.0, np.nan, 1.0])
+# a non-finite first row of the wrong dimension
+@example(prior=["a"], ids=["b"], width=3, flat=False, data=[np.inf, 1.0, 1.0])
+def test_add_rows_fails_where_add_would_and_changes_nothing(prior, ids, width, flat, data):
+    """`add_rows` against adding the same rows one by one: the same store, or
+    a DataError with the first message `add` gives and the store unchanged."""
+    values = (data if isinstance(data, list) else
+              data.draw(st.lists(ROW_VALUES, min_size=len(ids) * width,
+                                 max_size=len(ids) * width)))
+    rows = np.array(values).reshape(len(ids), width)
+    if flat:
+        rows = rows[:, 0]  # a 1-D input: each "row" a scalar
+    bulk, one_by_one = EmbeddingStore("cm"), EmbeddingStore("cm")
+    for store in (bulk, one_by_one):
+        for utt_id in prior:
+            try:
+                store.add(utt_id, [0.5, -0.5])
+            except DataError:
+                pass
+    before = (dict(bulk.index), bulk.dimension, bulk.matrix.tobytes())
+    want = None
+    for utt_id, row in zip(ids, rows):
+        try:
+            one_by_one.add(utt_id, row)
+        except DataError as exc:
+            want = str(exc)
+            break
+    if want is None:
+        bulk.add_rows(ids, rows)
+        assert list(bulk.index.items()) == list(one_by_one.index.items())
+        assert bulk.matrix.tobytes() == one_by_one.matrix.tobytes()
+        assert bulk.dimension == one_by_one.dimension
+    else:
+        with pytest.raises(DataError) as exc:
+            bulk.add_rows(ids, rows)
+        assert str(exc.value) == want
+        assert (dict(bulk.index), bulk.dimension, bulk.matrix.tobytes()) == before
 
 
 def _fit_cascade_oracle(s_sv, s_cm, labels) -> float:

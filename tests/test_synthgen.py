@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sasv.core import DataError, TrialLabel, check_protocol_ids
-from sasv.synthgen import (DATASET_FILES, SPLIT_NAMES, SynthConfig, _split_sizes,
-                           describe, gaussians, generate, write_dataset)
+from sasv.core import (DataError, EmbeddingStore, NumericError, Protocol, Trial, TrialLabel,
+                       check_protocol_ids)
+from sasv.synthgen import (DATASET_FILES, SPLIT_NAMES, SynthConfig, SynthDataset,
+                           _split_sizes, describe, gaussians, generate, write_dataset)
 
 SMALL = SynthConfig(n_speakers=10, utts_per_speaker=4, spoofs_per_speaker=3,
                     sv_dim=8, cm_dim=6, seed=5)
@@ -155,3 +158,147 @@ def test_sv_embeddings_live_on_the_unit_sphere():
     # CM embeddings are cluster points, not directions: no normalization
     norms = [float(np.linalg.norm(v)) for _, v in ds.cm_store.items()]
     assert max(norms) - min(norms) > 0.1
+
+
+# The generator as it was written before it drew per speaker block: one
+# Box-Muller draw, one length normalization and one store append per vector.
+# Kept as the oracle that the block generator must match bit for bit.
+
+def _reference_gaussians(rng: np.random.Generator, n: int) -> np.ndarray:
+    pairs = (n + 1) // 2
+    u1 = rng.random(pairs)
+    u2 = rng.random(pairs)
+    radius = np.sqrt(-2.0 * np.log1p(-u1))  # 1-u1 in (0,1], no log(0)
+    angle = 2.0 * np.pi * u2
+    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+    return z[:n]
+
+
+def _reference_length_normalize(values: np.ndarray) -> np.ndarray:
+    vec = np.asarray(values, dtype=np.float64)
+    vec = np.ldexp(vec, -math.frexp(np.abs(vec).max(initial=0.0))[1])
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0 or not math.isfinite(norm):
+        raise NumericError("cannot length-normalize a zero-norm or non-finite vector")
+    return vec / norm
+
+
+def _reference_generate(cfg: SynthConfig) -> SynthDataset:
+    gaussians, length_normalize = _reference_gaussians, _reference_length_normalize
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    spoof_dir = length_normalize(gaussians(rng, cfg.sv_dim))
+    cm_dir = length_normalize(gaussians(rng, cfg.cm_dim))
+
+    speakers = [f"S{i + 1:03d}" for i in range(cfg.n_speakers)]
+    centroids = {
+        spk: length_normalize(gaussians(rng, cfg.sv_dim)) for spk in speakers
+    }
+
+    sv_store = EmbeddingStore("sv")
+    cm_store = EmbeddingStore("cm")
+    bona_utts: dict[str, list[str]] = {spk: [] for spk in speakers}
+    spoof_utts: dict[str, list[str]] = {spk: [] for spk in speakers}
+    half_sep = 0.5 * cfg.cm_separation
+
+    for spk in speakers:
+        c = centroids[spk]
+        enroll_id = f"{spk}_E000"
+        sv_store.add(enroll_id, length_normalize(c + cfg.sv_noise * gaussians(rng, cfg.sv_dim)))
+        for j in range(cfg.utts_per_speaker):
+            utt_id = f"{spk}_U{j + 1:03d}"
+            sv_store.add(utt_id, length_normalize(c + cfg.sv_noise * gaussians(rng, cfg.sv_dim)))
+            cm_store.add(utt_id, half_sep * cm_dir + cfg.cm_noise * gaussians(rng, cfg.cm_dim))
+            bona_utts[spk].append(utt_id)
+        for j in range(cfg.spoofs_per_speaker):
+            utt_id = f"{spk}_A{j + 1:03d}"
+            target = c + cfg.spoof_sv_offset * spoof_dir
+            sv_store.add(utt_id, length_normalize(target + cfg.sv_noise * gaussians(rng, cfg.sv_dim)))
+            cm_store.add(utt_id, -half_sep * cm_dir + cfg.cm_noise * gaussians(rng, cfg.cm_dim))
+            spoof_utts[spk].append(utt_id)
+
+    n_train, n_dev, n_eval = _split_sizes(cfg.n_speakers)
+    split_speakers = {
+        "train": speakers[:n_train],
+        "dev": speakers[n_train:n_train + n_dev],
+        "eval": speakers[n_train + n_dev:],
+    }
+
+    protocols: dict[str, Protocol] = {}
+    for split in SPLIT_NAMES:
+        members = split_speakers[split]
+        trials: list[Trial] = []
+        for spk in members:
+            enroll_id = f"{spk}_E000"
+            for utt_id in bona_utts[spk]:
+                trials.append(Trial(enroll_id, utt_id, TrialLabel.TARGET))
+        for spk in members:
+            enroll_id = f"{spk}_E000"
+            pool = [u for other in members if other != spk for u in bona_utts[other]]
+            picks = rng.choice(len(pool), size=cfg.utts_per_speaker, replace=False)
+            for k in np.sort(picks):
+                trials.append(Trial(enroll_id, pool[int(k)], TrialLabel.NONTARGET))
+        for spk in members:
+            enroll_id = f"{spk}_E000"
+            for utt_id in spoof_utts[spk]:
+                trials.append(Trial(enroll_id, utt_id, TrialLabel.SPOOF))
+        protocols[split] = Protocol(trials, name=split)
+
+    return SynthDataset(
+        config=cfg,
+        sv_store=sv_store,
+        cm_store=cm_store,
+        protocols=protocols,
+        split_speakers=split_speakers,
+        cm_direction=cm_dir,
+        spoof_direction=spoof_dir,
+    )
+
+
+def _assert_same_dataset(got: SynthDataset, want: SynthDataset) -> None:
+    assert got.split_speakers == want.split_speakers
+    for name in ("cm_direction", "spoof_direction"):
+        assert (getattr(got, name).view(np.uint64).tolist()
+                == getattr(want, name).view(np.uint64).tolist()), name
+    for got_store, want_store in ((got.sv_store, want.sv_store),
+                                  (got.cm_store, want.cm_store)):
+        assert list(got_store.index.items()) == list(want_store.index.items())
+        assert got_store.matrix.shape == want_store.matrix.shape
+        assert np.array_equal(got_store.matrix.view(np.uint64),
+                              want_store.matrix.view(np.uint64)), got_store.kind
+    assert list(got.protocols) == list(want.protocols)
+    for split, protocol in want.protocols.items():
+        assert got.protocols[split].name == protocol.name
+        assert got.protocols[split].trials == protocol.trials, split
+
+
+@pytest.mark.parametrize("cfg", [
+    SynthConfig(n_speakers=30, utts_per_speaker=20, spoofs_per_speaker=20,
+                sv_dim=16, cm_dim=16, seed=1),                     # the acceptance config
+    SynthConfig(n_speakers=10, utts_per_speaker=4, spoofs_per_speaker=3,
+                sv_dim=7, cm_dim=1, seed=2),                       # odd dims: the pair trim
+    SynthConfig(n_speakers=12, utts_per_speaker=5, spoofs_per_speaker=3,
+                sv_dim=7, cm_dim=5, spoof_sv_offset=0.3, seed=4),
+    SynthConfig(n_speakers=7, utts_per_speaker=6, spoofs_per_speaker=5,
+                sv_dim=192, cm_dim=160, seed=3),                   # the large config's dims
+    SynthConfig(n_speakers=8, utts_per_speaker=3, spoofs_per_speaker=4,
+                sv_dim=193, cm_dim=161, spoof_sv_offset=0.3, seed=9),
+    SynthConfig(n_speakers=6, utts_per_speaker=1, spoofs_per_speaker=1,
+                sv_dim=2, cm_dim=1, seed=0),                       # the smallest config
+], ids=["acceptance", "dims-7-1", "dims-7-5-offset", "dims-192-160", "dims-193-161-offset",
+        "minimum"])
+def test_block_generator_matches_the_per_utterance_oracle(cfg):
+    _assert_same_dataset(generate(cfg), _reference_generate(cfg))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(n_speakers=st.integers(6, 12), utts=st.integers(1, 4), spoofs=st.integers(1, 4),
+       sv_dim=st.integers(2, 9), cm_dim=st.integers(1, 9),
+       offset=st.sampled_from([0.0, 0.3, 2.5]), noise=st.sampled_from([0.0, 0.1, 3.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_generator_matches_the_oracle_on_random_configs(n_speakers, utts, spoofs,
+                                                              sv_dim, cm_dim, offset,
+                                                              noise, seed):
+    cfg = SynthConfig(n_speakers=n_speakers, utts_per_speaker=utts,
+                      spoofs_per_speaker=spoofs, sv_dim=sv_dim, cm_dim=cm_dim,
+                      sv_noise=noise, cm_noise=noise, spoof_sv_offset=offset, seed=seed)
+    _assert_same_dataset(generate(cfg), _reference_generate(cfg))
