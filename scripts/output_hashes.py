@@ -10,6 +10,9 @@ runs, in a temporary directory and against the `sasv` package under --src
   also cover the odd-length Box-Muller trim and the offset path;
 - `train` in `concat`, `cm_only` and `concat_plus_enroll` mode at 40 epochs,
   and `eval` of each model;
+- `train` in `concat` mode with `--normalize-embeddings on` (5 epochs at
+  learning rate 1e-3) and its `eval`, so the hashes also cover the
+  normalizing embedding load;
 - `baseline` `sum`, `cascade` and `logreg` with the `cm_only` model as the
   CM scorer;
 - `gradcheck --seeds 3`;
@@ -56,6 +59,13 @@ def run_pipeline(src: str, work: str) -> None:
               "--dev-protocol", dev, "--out", run)
         _sasv(src, "eval", "--model", os.path.join(run, "model.ckpt"), *stores,
               "--eval-protocol", eval_protocol, "--out", os.path.join(work, f"eval_{mode}"))
+    run = os.path.join(work, "train_normalized")
+    _sasv(src, "train", *stores, "--mode", "concat", "--normalize-embeddings", "on",
+          "--lr", "1e-3", "--epochs", "5",
+          "--train-protocol", os.path.join(data, "train_protocol.tsv"),
+          "--dev-protocol", dev, "--out", run)
+    _sasv(src, "eval", "--model", os.path.join(run, "model.ckpt"), *stores,
+          "--eval-protocol", eval_protocol, "--out", os.path.join(work, "eval_normalized"))
     cm_model = os.path.join(work, "train_cm_only", "model.ckpt")
     for kind in BASELINES:
         _sasv(src, "baseline", "--kind", kind, *stores, "--cm-model", cm_model,

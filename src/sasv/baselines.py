@@ -14,7 +14,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .core import (DataError, EmbeddingStore, NumericError, Protocol, ScoreRecord,
-                   TrialLabel, check_protocol_ids, sv_scores)
+                   TrialLabel, _data_lines, check_protocol_ids, sv_scores)
 from .loss import sigmoid
 from .metrics import eer, eer_at_crossing
 from .model import IntegrationModel, spoof_scores_for
@@ -28,8 +28,6 @@ LOGREG_LR = 1e-2
 
 def load_cm_scores(path: str) -> dict[str, float]:
     """Parse an ID<TAB>score file ('#' comments allowed)."""
-    from .core import _data_lines
-
     table: dict[str, float] = {}
     for lineno, line in _data_lines(path):
         parts = line.split("\t")

@@ -149,6 +149,15 @@ def _load_model_and_stores(model_path: str, args):
     return model, sv_store, cm_store
 
 
+def _score_eval_protocol(args):
+    model, sv_store, cm_store = _load_model_and_stores(args.model, args)
+    protocol = load_protocol(args.eval_protocol, "eval")
+    records = score_protocol(model, protocol, sv_store, cm_store)
+    os.makedirs(args.out, exist_ok=True)
+    metrics.export_scores(records, os.path.join(args.out, "scores.csv"))
+    return records
+
+
 def cmd_eval(args) -> int:
     if args.scores:
         records = metrics.load_scores(args.scores)
@@ -157,11 +166,7 @@ def cmd_eval(args) -> int:
         _require(args.model and args.sv_emb and args.cm_emb and args.eval_protocol,
                  "eval needs either --scores or all of --model, --sv-emb, "
                  "--cm-emb and --eval-protocol")
-        model, sv_store, cm_store = _load_model_and_stores(args.model, args)
-        protocol = load_protocol(args.eval_protocol, "eval")
-        records = score_protocol(model, protocol, sv_store, cm_store)
-        os.makedirs(args.out, exist_ok=True)
-        metrics.export_scores(records, os.path.join(args.out, "scores.csv"))
+        records = _score_eval_protocol(args)
     report = metrics.sasv_report(records, args.score_field)
     metrics.write_eer_report(report, os.path.join(args.out, "eer_report.csv"))
     _write_sidecar(args.out, "eval", args)
@@ -170,11 +175,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_score(args) -> int:
-    model, sv_store, cm_store = _load_model_and_stores(args.model, args)
-    protocol = load_protocol(args.eval_protocol, "eval")
-    records = score_protocol(model, protocol, sv_store, cm_store)
-    os.makedirs(args.out, exist_ok=True)
-    metrics.export_scores(records, os.path.join(args.out, "scores.csv"))
+    records = _score_eval_protocol(args)
     _write_sidecar(args.out, "score", args)
     print(f"scored {len(records)} trials")
     return EXIT_OK

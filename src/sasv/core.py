@@ -7,8 +7,8 @@ File formats are plain UTF-8 text with LF line endings:
 
 from __future__ import annotations
 
-import math
 import re
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -16,11 +16,19 @@ from typing import NamedTuple
 import numpy as np
 
 
-class DataError(Exception):
+class _RowError(Exception):
+    """An error that may name the faulty row of an array input: `row`, or None."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
+
+
+class DataError(_RowError):
     """Malformed or inconsistent input: bad file line, duplicate or missing id, empty protocol."""
 
 
-class NumericError(Exception):
+class NumericError(_RowError):
     """Numeric failure: zero-norm vectors, non-finite scores, losses or gradients."""
 
 
@@ -94,87 +102,33 @@ def _unsavable_ids(ids: list[str]) -> bool:
 
 
 class EmbeddingStore:
-    """One subsystem's embeddings ('sv' or 'cm'): a dense [N, D] float64 matrix
-    plus an id -> row dict, rows in insertion order.
+    """One subsystem's embeddings ('sv' or 'cm'), made once from all of its
+    rows: a read-only [N, D] float64 `matrix`, row i that of the i-th id, and
+    an `index` from id to row. Each id must be new and one `save_embeddings`
+    can write back, then each value finite; the first faulty row is a
+    DataError whose `row` names it. A C-contiguous float64 `rows` that owns
+    its memory or is read-only already becomes `matrix` without a copy."""
 
-    `matrix` and every vector handed out are read-only views; rows are only
-    ever appended. An id must be one `save_embeddings` can write back.
-    """
-
-    def __init__(self, kind: str):
+    def __init__(self, kind: str, ids, rows):
         if kind not in ("sv", "cm"):
             raise DataError(f"embedding store kind must be 'sv' or 'cm', got {kind!r}")
-        self.kind = kind
-        self.dimension: int | None = None
-        self.index: dict[str, int] = {}
-        self._data = np.empty((0, 0))
-
-    def add(self, utt_id: str, values) -> None:
-        self._append([utt_id], np.asarray(values, dtype=np.float64)[None])
-
-    def add_rows(self, ids, rows) -> None:
-        """Append one row per id: `rows` is [len(ids), D]. It fails where adding
-        the rows one by one with `add` would first fail, with that message, and
-        then adds nothing. An empty store takes over a C-contiguous float64
-        array that owns its memory, read-only from then on, instead of copying it."""
         ids = list(ids)
         if not ids:
-            raise DataError(f"no embedding ids given to the {self.kind} store")
-        self._append(ids, rows)
-
-    def _append(self, ids: list[str], rows) -> None:
-        n_good, id_fault = len(ids), None  # the ids before the first bad one, its fault
-        fresh = set(ids)
-        if (len(fresh) < len(ids) or not self.index.keys().isdisjoint(fresh)
-                or _unsavable_ids(ids)):
-            seen: set[str] = set()
-            for n_good, utt_id in enumerate(ids):
-                if utt_id in self.index or utt_id in seen:
-                    id_fault = f"duplicate embedding id {utt_id!r} in {self.kind} store"
-                    break
-                if _unsavable_ids([utt_id]):
-                    id_fault = (f"embedding id {utt_id!r} is empty, holds a tab, line "
-                                "break or surrogate, or starts with '#'")
-                    break
-                seen.add(utt_id)
-        if n_good == 0:
-            raise DataError(id_fault)
-        mat = np.asarray(rows, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[1] == 0:
+            raise DataError(f"no embedding ids given to the {kind} store")
+        matrix = np.asarray(rows, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[1] == 0:
             raise DataError(f"embedding {ids[0]!r} must be a non-empty 1-D vector")
-        if len(mat) != len(ids):
-            raise DataError(f"{len(mat)} embedding rows for {len(ids)} ids")
-        n_finite = (len(ids) if np.isfinite(mat).all()
-                    else int(np.argmin(np.isfinite(mat).all(axis=1))))
-        if n_finite > 0 and self.dimension not in (None, mat.shape[1]):
-            raise DataError(
-                f"embedding {ids[0]!r} has dimension {mat.shape[1]}, "
-                f"store expects {self.dimension}"
-            )
-        if n_finite < n_good:
-            raise DataError(f"embedding {ids[n_finite]!r} contains a non-finite value")
-        if id_fault is not None:
-            raise DataError(id_fault)
-        self.dimension = mat.shape[1]
-        row, end = len(self.index), len(self.index) + len(mat)
-        if row == 0 and mat.flags.owndata and mat.flags.c_contiguous:
-            mat.flags.writeable = False
-            self._data = mat
-        else:
-            if end > len(self._data):  # grow geometrically: `add` stays amortized O(D)
-                grown = np.empty((max(end, 2 * row), self.dimension))
-                if row:
-                    grown[:row] = self._data[:row]
-                self._data = grown
-            self._data[row:end] = mat
-        self.index.update(zip(ids, range(row, end)))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The [N, D] embeddings, row i belonging to the i-th id added."""
-        view = self._data[:len(self.index)]
-        view.setflags(write=False)
-        return view
+        if len(matrix) != len(ids):
+            raise DataError(f"{len(matrix)} embedding rows for {len(ids)} ids")
+        index = dict(zip(ids, range(len(ids))))
+        if len(index) < len(ids) or _unsavable_ids(ids) or not np.isfinite(matrix).all():
+            raise next(_row_faults(kind, ids, matrix))
+        if not (matrix.flags.c_contiguous
+                and (matrix.flags.owndata or not matrix.flags.writeable)):
+            matrix = matrix.copy()
+        matrix.flags.writeable = False
+        self.kind, self.index, self.matrix = kind, index, matrix
+        self.dimension = matrix.shape[1]
 
     def vector(self, utt_id: str) -> np.ndarray:
         try:
@@ -189,8 +143,23 @@ class EmbeddingStore:
         return len(self.index)
 
     def items(self):
-        """(id, vector) pairs in insertion order, which is row order."""
+        """(id, vector) pairs in row order."""
         return zip(self.index, self.matrix)
+
+
+def _row_faults(kind: str, ids: list[str], matrix: np.ndarray):
+    """Each faulty row's error: a repeated or unsavable id, else a non-finite value."""
+    finite = np.isfinite(matrix).all(axis=1)
+    seen: set[str] = set()
+    for row, utt_id in enumerate(ids):
+        if utt_id in seen:
+            yield DataError(f"duplicate embedding id {utt_id!r} in {kind} store", row)
+        elif _unsavable_ids([utt_id]):
+            yield DataError(f"embedding id {utt_id!r} is empty, holds a tab, line "
+                            "break or surrogate, or starts with '#'", row)
+        elif not finite[row]:
+            yield DataError(f"embedding {utt_id!r} contains a non-finite value", row)
+        seen.add(utt_id)
 
 
 class TrialRows(NamedTuple):
@@ -216,11 +185,14 @@ def length_normalize_rows(rows: np.ndarray) -> np.ndarray:
     scaled as by `_pow2_scaled_rows`, then divided by the square root of each
     row's `x @ x` (`np.vecdot` runs the same BLAS dot per row, so a row gets
     the bits `length_normalize` gives it alone). A zero-norm or non-finite row
-    is an error, not an epsilon."""
+    is an error, not an epsilon, whose `row` names the first such row."""
     scaled = _pow2_scaled_rows(np.asarray(rows, dtype=np.float64))
-    norms = np.sqrt(np.vecdot(scaled, scaled))
-    if not np.all((norms > 0.0) & (norms < np.inf)):
-        raise NumericError("cannot length-normalize a zero-norm or non-finite vector")
+    with np.errstate(over="ignore"):  # only a non-finite row can overflow
+        norms = np.sqrt(np.vecdot(scaled, scaled))
+    fine = (norms > 0.0) & (norms < np.inf)
+    if not fine.all():
+        raise NumericError("cannot length-normalize a zero-norm or non-finite vector",
+                           int(np.argmin(fine)))
     return scaled / norms[:, None]
 
 
@@ -277,40 +249,70 @@ def _data_lines(path: str):
 
 
 def load_embeddings(path: str, kind: str, normalize: bool = False) -> EmbeddingStore:
-    """Parse an embedding file into a store.
-
-    Each data line is ID<TAB>values where the values are space-separated
-    decimal or scientific floats. Errors carry the offending line number.
-    """
-    store = EmbeddingStore(kind)
+    """Parse an embedding file of ID<TAB>values lines, the values space-separated
+    floats as many as on the first line, into a store built once from all of
+    its rows. Errors carry the line number of the first faulty line."""
+    ids, linenos, values, width = [], array("q"), array("d"), 0
     for lineno, line in _data_lines(path):
+        row = None
         parts = line.split("\t")
         if len(parts) != 2:
-            raise DataError(
-                f"{path}:{lineno}: malformed embedding line, expected ID<TAB>values"
-            )
-        utt_id, payload = parts
-        if not utt_id:
-            raise DataError(f"{path}:{lineno}: empty embedding id")
-        fields = payload.split()
-        if not fields:
-            raise DataError(f"{path}:{lineno}: embedding has no values")
-        try:
-            values = [float(f) for f in fields]
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: bad float in embedding: {exc}") from None
-        if not all(math.isfinite(v) for v in values):
-            raise DataError(f"{path}:{lineno}: non-finite embedding value")
-        vec = np.asarray(values, dtype=np.float64)
-        if normalize:
-            vec = length_normalize(vec)
-        try:
-            store.add(utt_id, vec)
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-    if len(store) == 0:
+            fault = "malformed embedding line, expected ID<TAB>values"
+        elif not parts[0]:
+            fault = "empty embedding id"
+        elif not (fields := parts[1].split()):
+            fault = "embedding has no values"
+        else:
+            try:
+                row = [float(f) for f in fields]
+            except ValueError as exc:
+                fault = f"bad float in embedding: {exc}"
+            else:
+                width = width or len(row)
+                if len(row) == width:
+                    ids.append(parts[0])
+                    linenos.append(lineno)
+                    values.fromlist(row)
+                    continue
+                fault = f"embedding {parts[0]!r} has dimension {len(row)}, store expects {width}"
+        # the first faulty line decides: the rows before this line come first,
+        # then the faults that a row of the wrong width shows before its width
+        if ids:
+            _build_store(path, kind, ids, values, width, linenos, normalize)
+        if row is not None:
+            _build_store(path, kind, [parts[0]], array("d", row), len(row), [lineno],
+                         normalize)
+        raise DataError(f"{path}:{lineno}: {fault}")
+    if not ids:
         raise DataError(f"{path}: no embeddings found")
-    return store
+    return _build_store(path, kind, ids, values, width, linenos, normalize)
+
+
+_NORMALIZE_BLOCK = 1024  # rows per in-place normalization: its copies stay small
+
+
+def _build_store(path: str, kind: str, ids: list[str], values: array, width: int,
+                 linenos, normalize: bool) -> EmbeddingStore:
+    """The store of the parsed values, normalized in place when asked, read-only
+    so it takes them without a copy. A fault names its row's line; a zero norm
+    yields to an earlier row's fault or to a non-finite value in its own row."""
+    rows = np.frombuffer(values).reshape(-1, width)
+    try:
+        for lo in range(0, len(rows) if normalize else 0, _NORMALIZE_BLOCK):
+            block = rows[lo:lo + _NORMALIZE_BLOCK]
+            try:
+                block[:] = length_normalize_rows(block)
+            except NumericError as exc:
+                row = lo + exc.row
+                upto = row + (not np.isfinite(rows[row]).all())
+                raise (next(_row_faults(kind, ids[:upto], rows[:upto]), None)
+                       or NumericError(str(exc), row))
+        rows.flags.writeable = False
+        return EmbeddingStore(kind, ids, rows)
+    except (DataError, NumericError) as exc:
+        if exc.row is None:
+            raise
+        raise type(exc)(f"{path}:{linenos[exc.row]}: {exc}") from None
 
 
 def save_embeddings(store: EmbeddingStore, path: str) -> None:

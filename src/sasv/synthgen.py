@@ -21,6 +21,7 @@ draw per utterance would.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,8 +105,8 @@ def generate(cfg: SynthConfig) -> SynthDataset:
     centroids = length_normalize_rows(
         _box_muller(rng.random(n_spk * sv_draw).reshape(n_spk, sv_draw), cfg.sv_dim))
 
-    # the stores' matrices, at their exact size: per speaker, SV rows
-    # enrollment, bonafide, spoof; CM rows bonafide, spoof
+    # the stores' matrices at their exact size, which each store takes without a
+    # copy: per speaker, SV rows enrollment, bonafide, spoof; CM rows bonafide, spoof
     n_utts = n_bona + n_spoof
     sv_rows = np.empty((n_spk * (1 + n_utts), cfg.sv_dim))
     cm_rows = np.empty((n_spk * n_utts, cfg.cm_dim))
@@ -125,12 +126,11 @@ def generate(cfg: SynthConfig) -> SynthDataset:
 
     bona_utts = {spk: [f"{spk}_U{j + 1:03d}" for j in range(n_bona)] for spk in speakers}
     spoof_utts = {spk: [f"{spk}_A{j + 1:03d}" for j in range(n_spoof)] for spk in speakers}
-    sv_store = EmbeddingStore("sv")
-    sv_store.add_rows([u for spk in speakers
-                       for u in (f"{spk}_E000", *bona_utts[spk], *spoof_utts[spk])], sv_rows)
-    cm_store = EmbeddingStore("cm")
-    cm_store.add_rows([u for spk in speakers for u in (*bona_utts[spk], *spoof_utts[spk])],
-                      cm_rows)
+    sv_store = EmbeddingStore("sv", [u for spk in speakers for u in
+                                     (f"{spk}_E000", *bona_utts[spk], *spoof_utts[spk])],
+                              sv_rows)
+    cm_store = EmbeddingStore("cm", [u for spk in speakers
+                                     for u in (*bona_utts[spk], *spoof_utts[spk])], cm_rows)
 
     n_train, n_dev, n_eval = _split_sizes(n_spk)
     split_speakers = {
@@ -210,8 +210,6 @@ DATASET_FILES = {
 
 
 def write_dataset(ds: SynthDataset, out_dir: str) -> dict[str, str]:
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     paths = {key: os.path.join(out_dir, name) for key, name in DATASET_FILES.items()}
     save_embeddings(ds.sv_store, paths["sv_emb"])

@@ -234,14 +234,11 @@ def test_byte_identical_determinism(tmp_path):
 
 def test_spoof_score_ignores_enrollment():
     rng = np.random.default_rng(11)
-    sv = EmbeddingStore("sv")
-    cm = EmbeddingStore("cm")
-    sv.add("eA", rng.normal(size=8))
-    sv.add("eB", rng.normal(size=8))
+    enrolls = [rng.normal(size=8), rng.normal(size=8)]
     tests = [f"t{i:03d}" for i in range(100)]
-    for utt in tests:
-        sv.add(utt, rng.normal(size=8))
-        cm.add(utt, rng.normal(size=6))
+    rows = [(rng.normal(size=8), rng.normal(size=6)) for _ in tests]
+    sv = EmbeddingStore("sv", ["eA", "eB", *tests], [*enrolls, *(s for s, _ in rows)])
+    cm = EmbeddingStore("cm", tests, [c for _, c in rows])
     model = IntegrationModel(InputMode.CONCAT, 8, 6,
                              np.random.Generator(np.random.PCG64(11)))
     proto_a = Protocol([Trial("eA", t, TrialLabel.TARGET) for t in tests], "a")

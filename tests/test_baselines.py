@@ -77,10 +77,7 @@ def test_model_source_rejects_enrollment_conditioning(tiny_dataset):
 
 
 def test_sv_scores_for():
-    sv = EmbeddingStore("sv")
-    sv.add("e1", [1.0, 0.0])
-    sv.add("u1", [1.0, 1.0])
-    sv.add("u2", [0.0, 1.0])
+    sv = EmbeddingStore("sv", ["e1", "u1", "u2"], [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     scores = baselines.sv_scores_for(_two_trial_protocol(), sv)
     assert scores[0] == 0.7071067811865475
     assert scores[1] == 0.0

@@ -342,7 +342,7 @@ def test_store_dims_that_disagree_with_the_checkpoint_exit_2(workspace, tmp_path
         assert "the checkpoint was trained on sv_dim 6 and cm_dim 5" in capsys.readouterr().err
 
 
-def test_numeric_errors_exit_3(workspace, tmp_path):
+def test_numeric_errors_exit_3(workspace, tmp_path, capsys):
     data, model = workspace["data"], workspace["model"]
     # a zero-norm enrollment embedding defeats the cosine
     first_eval = (data / "eval_protocol.tsv").read_text().splitlines()[0]
@@ -361,6 +361,15 @@ def test_numeric_errors_exit_3(workspace, tmp_path):
             "--eval-protocol", str(data / "eval_protocol.tsv"),
             "--out", str(tmp_path / "x")]
     assert _run(args) == 3
+    # under normalization the zero-norm row is refused at load, at its line
+    victim_line = 1 + [line.split("\t")[0] for line in rewritten].index(victim)
+    capsys.readouterr()
+    assert _run(["train", "--sv-emb", str(broken), "--cm-emb", str(data / "cm_embeddings.tsv"),
+                 "--train-protocol", str(data / "train_protocol.tsv"),
+                 "--dev-protocol", str(data / "dev_protocol.tsv"), "--epochs", "1",
+                 "--normalize-embeddings", "on", "--out", str(tmp_path / "y")]) == 3
+    assert (f"sasv: numeric error: {broken}:{victim_line}: cannot length-normalize"
+            in capsys.readouterr().err)
 
 
 def test_train_on_overflowing_cm_embeddings_exits_3(workspace, tmp_path, capsys):

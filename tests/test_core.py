@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 
 import numpy as np
 import pytest
+import reference_embeddings as reference
 
 from sasv.core import (DataError, EmbeddingStore, NumericError, Protocol, Trial,
                        TrialLabel, check_protocol_ids, cosine, cosine_rows,
@@ -146,63 +148,61 @@ def test_length_normalize():
 
 def test_embedding_store_validation():
     with pytest.raises(DataError):
-        EmbeddingStore("asr")
-    store = EmbeddingStore("sv")
-    store.add("u1", [1.0, 2.0])
+        EmbeddingStore("asr", ["u1"], [[1.0, 2.0]])
     with pytest.raises(DataError, match="duplicate"):
-        store.add("u1", [3.0, 4.0])
-    with pytest.raises(DataError, match="dimension"):
-        store.add("u2", [1.0, 2.0, 3.0])
+        EmbeddingStore("sv", ["u1", "u1"], [[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(DataError, match="non-finite"):
-        store.add("u3", [1.0, float("nan")])
-    with pytest.raises(DataError, match="non-finite"):  # checked before the dimension
-        store.add("u3", [1.0, float("nan"), 1.0])
+        EmbeddingStore("sv", ["u1", "u3"], [[1.0, 2.0], [1.0, float("nan")]])
+    store = EmbeddingStore("sv", ["u1"], [[1.0, 2.0]])
     with pytest.raises(DataError, match="u9"):
         store.vector("u9")
-    assert "u1" in store and len(store) == 1
+    assert "u1" in store and len(store) == 1 and store.dimension == 2
 
 
 @pytest.mark.parametrize("utt_id", ["", "a\tb", "a\nb", "a\rb", "#c", " \t#c",
                                     "  #c", "\ud800"])
 def test_embedding_store_rejects_ids_it_cannot_save(utt_id):
-    store = EmbeddingStore("sv")
-    with pytest.raises(DataError, match="embedding id"):
-        store.add(utt_id, [1.0])
-    assert len(store) == 0
+    with pytest.raises(DataError, match="embedding id") as exc:
+        EmbeddingStore("sv", ["ok", utt_id], [[1.0], [2.0]])
+    assert exc.value.row == 1
 
 
-def test_add_rows_appends_like_add():
+def test_embedding_store_holds_the_rows_the_reference_adds_one_by_one():
     rng = np.random.default_rng(2)
     rows = rng.normal(size=(37, 3))
-    one_by_one, bulk = EmbeddingStore("cm"), EmbeddingStore("cm")
-    for i, row in enumerate(rows[:5]):
-        one_by_one.add(f"u{i}", row)
-        bulk.add(f"u{i}", row)
-    for i, row in enumerate(rows[5:], start=5):
-        one_by_one.add(f"u{i}", row)
-    bulk.add_rows([f"u{i}" for i in range(5, 37)], rows[5:])
-    assert list(bulk.index.items()) == list(one_by_one.index.items())
-    assert bulk.matrix.tobytes() == one_by_one.matrix.tobytes() == rows.tobytes()
-    bulk.add("last", [1.0, 2.0, 3.0])  # a row after a batch
-    assert bulk.index["last"] == 37 and bulk.matrix.shape == (38, 3)
-    # an empty store takes over an array that owns its memory, without a
-    # copy, and makes it read-only; a view of another array it copies
+    ids = [f"u{i}" for i in range(37)]
+    one_by_one = reference.EmbeddingStore("cm")
+    for utt_id, row in zip(ids, rows):
+        one_by_one.add(utt_id, row)
+    store = EmbeddingStore("cm", ids, rows)
+    assert list(store.index.items()) == list(one_by_one.index.items())
+    assert store.matrix.tobytes() == one_by_one.matrix.tobytes() == rows.tobytes()
+    assert store.dimension == one_by_one.dimension == 3
+
+
+def test_embedding_store_takes_over_an_owned_or_read_only_array():
+    # an array that owns its memory becomes the matrix, read-only from then on
     owned = np.array([[1.0, 2.0], [3.0, 4.0]])
-    fresh = EmbeddingStore("sv")
-    fresh.add_rows(["a", "b"], owned)
-    assert np.shares_memory(fresh.matrix, owned) and fresh.dimension == 2
+    store = EmbeddingStore("sv", ["a", "b"], owned)
+    assert np.shares_memory(store.matrix, owned) and store.dimension == 2
     with pytest.raises(ValueError):
         owned[0, 0] = 9.0
-    fresh.add("c", [5.0, 6.0])  # the next row moves the store to a grown copy
-    assert fresh.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
-    viewed = EmbeddingStore("sv")
-    viewed.add_rows(["a"], rows[:1])
-    assert not np.shares_memory(viewed.matrix, rows) and rows.flags.writeable
+    # so does a read-only view, such as the parsed values of a file
+    frozen = np.frombuffer(array("d", [1.0, 2.0, 3.0, 4.0])).reshape(2, 2)
+    frozen.flags.writeable = False
+    assert np.shares_memory(EmbeddingStore("sv", ["a", "b"], frozen).matrix, frozen)
+    # a writable view of another array, or a strided one, is copied
+    rows = np.arange(8.0).reshape(4, 2)
+    for view in (rows[:1], rows[::2], rows.T[:, :2]):
+        copied = EmbeddingStore("sv", [f"u{i}" for i in range(len(view))], view)
+        assert not np.shares_memory(copied.matrix, rows) and rows.flags.writeable
+        assert copied.matrix.tobytes() == np.ascontiguousarray(view).tobytes()
+    assert not EmbeddingStore("sv", ["a"], np.ones((1, 2), dtype=np.float32)).matrix.flags.writeable
 
 
 def _add_error(utt_id, values, existing):
-    """The message `add` gives for one id and row, on a store holding `existing`."""
-    store = EmbeddingStore("sv")
+    """The message the reference `add` gives for one id and row, on a store holding `existing`."""
+    store = reference.EmbeddingStore("sv")
     for old in existing:
         store.add(old, [0.5, 0.5])
     with pytest.raises(DataError) as exc:
@@ -210,23 +210,24 @@ def _add_error(utt_id, values, existing):
     return str(exc.value)
 
 
-# (ids, rows, the failing id and row, the ids of the batch added before it)
+# (ids, rows, the first faulty id and row, the ids before it)
 BAD_BATCHES = [
-    (["a", "b", "a"], np.ones((3, 2)), "a", [1.0, 1.0], ["a"]),   # duplicate within the batch
-    (["a", "u0"], np.ones((2, 2)), "u0", [1.0, 1.0], []),         # duplicate of a stored id
-    (["a", "x\ty"], np.ones((2, 2)), "x\ty", [1.0, 1.0], []),
-    (["a", "x\ny"], np.ones((2, 2)), "x\ny", [1.0, 1.0], []),
-    (["a", "\udc80"], np.ones((2, 2)), "\udc80", [1.0, 1.0], []),
-    (["a", " #c"], np.ones((2, 2)), " #c", [1.0, 1.0], []),
-    (["a", ""], np.ones((2, 2)), "", [1.0, 1.0], []),
-    (["a", "b"], np.array([[1.0, 1.0], [1.0, np.nan]]), "b", [1.0, np.nan], []),
-    (["a", "b"], np.array([[1.0, 1.0], [np.inf, 1.0]]), "b", [np.inf, 1.0], []),
-    (["a", "b"], np.ones((2, 3)), "a", [1.0, 1.0, 1.0], []),     # wrong dimension
+    (["a", "b", "a"], np.ones((3, 2)), "a", [1.0, 1.0], ["a", "b"]),   # a repeated id
+    (["u0", "u0"], np.ones((2, 2)), "u0", [1.0, 1.0], ["u0"]),
+    (["a", "x\ty"], np.ones((2, 2)), "x\ty", [1.0, 1.0], ["a"]),
+    (["a", "x\ny"], np.ones((2, 2)), "x\ny", [1.0, 1.0], ["a"]),
+    (["a", "\udc80"], np.ones((2, 2)), "\udc80", [1.0, 1.0], ["a"]),
+    (["a", " #c"], np.ones((2, 2)), " #c", [1.0, 1.0], ["a"]),
+    (["a", ""], np.ones((2, 2)), "", [1.0, 1.0], ["a"]),
+    (["a", "b"], np.array([[1.0, 1.0], [1.0, np.nan]]), "b", [1.0, np.nan], ["a"]),
+    (["a", "b"], np.array([[1.0, 1.0], [np.inf, 1.0]]), "b", [np.inf, 1.0], ["a"]),
+    (["a", "b"], np.ones((2, 2, 1)), "a", [[1.0], [1.0]], []),    # a 3-D input
     (["a"], np.ones(2), "a", 1.0, []),                           # a 1-D input
     (["a", "b"], np.ones((2, 0)), "a", [], []),
-    # the first fault in row order wins, as when adding row by row
-    (["a", "u0"], np.array([[1.0, 1.0], [np.nan, 1.0]]), "u0", [np.nan, 1.0], ["a"]),
-    (["a", "u0"], np.array([[np.nan, 1.0], [1.0, 1.0]]), "a", [np.nan, 1.0], []),
+    # the first fault in row order wins; in one row, an id fault before a value
+    (["u0", "a", "u0"], np.array([[0.5, 0.5], [1.0, 1.0], [np.nan, 1.0]]), "u0",
+     [np.nan, 1.0], ["u0", "a"]),
+    (["a", "a"], np.array([[np.nan, 1.0], [1.0, 1.0]]), "a", [np.nan, 1.0], []),
     (["a"], np.array([[np.inf, 1.0, 1.0]]), "a", [np.inf, 1.0, 1.0], []),
 ]
 
@@ -234,29 +235,28 @@ BAD_BATCHES = [
 @pytest.mark.parametrize("ids,rows,bad_id,bad_row,prior", BAD_BATCHES)
 def test_add_rows_rejects_what_add_rejects_and_changes_nothing(ids, rows, bad_id, bad_row,
                                                                prior):
-    store = EmbeddingStore("sv")
-    store.add("u0", [0.5, 0.5])
-    before = store.matrix.copy()
+    """The constructor, given these rows in bulk, fails with the message the
+    reference `add` gives the first faulty row after the rows before it. The
+    error names that row (a fault of the input's shape names none), and
+    `rows` stay writable and as they were."""
+    before = rows.copy()
     with pytest.raises(DataError) as exc:
-        store.add_rows(ids, rows)
-    assert str(exc.value) == _add_error(bad_id, bad_row, ["u0", *prior])
-    assert list(store.index) == ["u0"] and store.dimension == 2
-    assert store.matrix.tobytes() == before.tobytes()
+        EmbeddingStore("sv", ids, rows)
+    assert str(exc.value) == _add_error(bad_id, bad_row, prior)
+    assert exc.value.row == (len(prior) if rows.ndim == 2 and rows.shape[1] else None)
+    assert rows.flags.writeable and rows.tobytes() == before.tobytes()
 
 
-def test_add_rows_needs_one_row_per_id():
-    store = EmbeddingStore("cm")
+def test_embedding_store_needs_one_row_per_id():
     with pytest.raises(DataError, match="3 embedding rows for 2 ids"):
-        store.add_rows(["a", "b"], np.ones((3, 2)))
+        EmbeddingStore("cm", ["a", "b"], np.ones((3, 2)))
     with pytest.raises(DataError, match="no embedding ids"):
-        store.add_rows([], np.ones((0, 2)))
-    assert len(store) == 0 and store.dimension is None
+        EmbeddingStore("cm", [], np.ones((0, 2)))
 
 
 def test_embedding_store_is_a_dense_matrix():
-    store = EmbeddingStore("sv")
-    for i in range(40):  # past the first growth of the backing matrix
-        store.add(f"u{i}", [float(i), -float(i)])
+    store = EmbeddingStore("sv", [f"u{i}" for i in range(40)],
+                           [[float(i), -float(i)] for i in range(40)])
     assert store.matrix.shape == (40, 2)
     assert np.array_equal(store.matrix[:, 0], np.arange(40.0))
     assert store.index["u7"] == 7
@@ -266,8 +266,7 @@ def test_embedding_store_is_a_dense_matrix():
 
 
 def test_embedding_store_vectors_are_readonly():
-    store = EmbeddingStore("cm")
-    store.add("a", [1.0, 2.0])
+    store = EmbeddingStore("cm", ["a"], [[1.0, 2.0]])
     with pytest.raises(ValueError):
         store.vector("a")[0] = 99.0
 
@@ -286,6 +285,9 @@ def test_load_embeddings_skips_comments_and_blanks(tmp_path):
     ("u1\t", "no values"),
     ("u1\t1.0 oops", "bad float"),
     ("u1\t1.0 inf", "non-finite"),
+    ("u1\t1.0", "'u1' has dimension 1, store expects 2"),
+    ("u1\t1.0 2.0 inf", "non-finite"),   # a non-finite value before the width
+    ("ok\t3.0 4.0", "duplicate embedding id 'ok'"),
 ])
 def test_load_embeddings_errors_carry_line_number(tmp_path, line, fragment):
     path = tmp_path / "emb.tsv"
@@ -302,12 +304,74 @@ def test_load_embeddings_empty_file(tmp_path):
         load_embeddings(str(path), "sv")
 
 
+def test_load_embeddings_reports_the_first_faulty_line(tmp_path):
+    path = tmp_path / "emb.tsv"
+    path.write_text("a\t1.0 2.0\nb\t1.0 oops\nc\t3.0\n")
+    with pytest.raises(DataError, match=r"emb\.tsv:2: bad float"):
+        load_embeddings(str(path), "sv")
+    # a fault the store finds comes before a later line that does not parse
+    path.write_text("a\t1.0 2.0\nb\tnan 2.0\nc\t1.0 oops\nd\t3.0\n")
+    with pytest.raises(DataError, match=r"emb\.tsv:2: embedding 'b' contains a non-finite"):
+        load_embeddings(str(path), "sv")
+
+
+def test_load_embeddings_names_the_line_of_a_zero_norm_row(tmp_path):
+    path = tmp_path / "emb.tsv"
+    path.write_text("# comment\nok\t1.0 2.0\nz\t0.0 -0.0\n")
+    assert len(load_embeddings(str(path), "sv")) == 2
+    with pytest.raises(NumericError, match=r"emb\.tsv:3: cannot length-normalize") as exc:
+        load_embeddings(str(path), "sv", normalize=True)
+    assert exc.value.row is None
+    # the first faulty line decides between a zero norm and a repeated id,
+    # and a row's zero norm comes before its own repeated id or width
+    for text, error, lineno in [
+            ("ok\t1.0 2.0\nz\t0.0 0.0\nok\t1.0 2.0\n", NumericError, 2),
+            ("ok\t1.0 2.0\nok\t1.0 2.0\nz\t0.0 0.0\n", DataError, 2),
+            ("ok\t1.0 2.0\nok\t0.0 0.0\n", NumericError, 2),
+            ("ok\t1.0 2.0\nz\t0.0 0.0 0.0\n", NumericError, 2),
+            ("ok\t1.0 2.0\nz\tinf 0.0\n", DataError, 2),
+            ("ok\t1.0 2.0\nok\t1.0 2.0\nz\t0.0 0.0 0.0\n", DataError, 2)]:
+        path.write_text(text)
+        with pytest.raises(error, match=rf"emb\.tsv:{lineno}: "):
+            load_embeddings(str(path), "sv", normalize=True)
+
+
+def test_load_embeddings_normalizes_a_file_of_many_blocks_as_the_reference(tmp_path):
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(2500, 3)) * rng.uniform(1e-3, 1e3, size=(2500, 1))
+    lines = [f"u{i}\t{' '.join(map(repr, row))}" for i, row in enumerate(rows.tolist())]
+    path = tmp_path / "emb.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    got = load_embeddings(str(path), "sv", normalize=True)
+    want = reference.load_embeddings(str(path), "sv", normalize=True)
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    # a zero-norm row in a later block, before or after a repeated id
+    zero, repeat = "u2000\t0 0 0", "u3\t1 2 3"
+    for at_zero, at_repeat, error, lineno in [(2000, 2100, NumericError, 2001),
+                                              (2100, 1500, DataError, 1501)]:
+        faulty = list(lines)
+        faulty[at_zero], faulty[at_repeat] = zero, repeat
+        path.write_text("\n".join(faulty) + "\n")
+        with pytest.raises(error, match=rf"emb\.tsv:{lineno}: "):
+            load_embeddings(str(path), "sv", normalize=True)
+
+
+def test_load_embeddings_keeps_the_parsed_values_without_a_copy(tmp_path):
+    path = tmp_path / "emb.tsv"
+    path.write_text("a\t1.0 2.0\nb\t3.0 4.0\n")
+    store = load_embeddings(str(path), "sv")
+    # the matrix's first ndarray wraps the parse buffer; a copy would own its memory
+    owner = store.matrix
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    assert not owner.flags.owndata and not store.matrix.flags.writeable
+    assert store.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 def test_embeddings_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(11)
-    store = EmbeddingStore("cm")
-    store.add("tiny", rng.normal(size=5) * 1e-300)
-    store.add("huge", rng.normal(size=5) * 1e300)
-    store.add("norm", rng.normal(size=5))
+    store = EmbeddingStore("cm", ["tiny", "huge", "norm"],
+                           rng.normal(size=(3, 5)) * [[1e-300], [1e300], [1.0]])
     path = tmp_path / "emb.tsv"
     save_embeddings(store, str(path))
     loaded = load_embeddings(str(path), "cm")
@@ -365,11 +429,8 @@ def test_protocol_round_trip(tmp_path):
 
 
 def test_check_protocol_ids():
-    sv = EmbeddingStore("sv")
-    cm = EmbeddingStore("cm")
-    sv.add("e1", [1.0, 0.0])
-    sv.add("t1", [0.0, 1.0])
-    cm.add("t1", [1.0])
+    sv = EmbeddingStore("sv", ["e1", "t1"], [[1.0, 0.0], [0.0, 1.0]])
+    cm = EmbeddingStore("cm", ["t1"], [[1.0]])
     good = Protocol([Trial("e1", "t1", TrialLabel.TARGET)])
     rows = check_protocol_ids(good, sv, cm)
     assert (rows.enroll.tolist(), rows.test.tolist(), rows.test_cm.tolist()) == ([0], [1], [0])

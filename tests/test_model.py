@@ -19,12 +19,10 @@ def _model(mode: InputMode = InputMode.CONCAT, seed: int = 0) -> IntegrationMode
 
 def _stores(n_utts: int = 12, seed: int = 1):
     rng = np.random.default_rng(seed)
-    sv = EmbeddingStore("sv")
-    cm = EmbeddingStore("cm")
-    for i in range(n_utts):
-        sv.add(f"u{i}", rng.normal(size=SV_DIM))
-        cm.add(f"u{i}", rng.normal(size=CM_DIM))
-    return sv, cm
+    rows = [(rng.normal(size=SV_DIM), rng.normal(size=CM_DIM)) for _ in range(n_utts)]
+    ids = [f"u{i}" for i in range(n_utts)]
+    return (EmbeddingStore("sv", ids, [sv for sv, _ in rows]),
+            EmbeddingStore("cm", ids, [cm for _, cm in rows]))
 
 
 def _protocol(n_trials: int, n_utts: int = 12, seed: int = 2) -> Protocol:
@@ -47,13 +45,11 @@ def test_input_mode_dimensions():
 
 
 def test_assemble_input_layouts():
-    sv, cm = EmbeddingStore("sv"), EmbeddingStore("cm")
     enroll = np.arange(SV_DIM) + 100.0
     test_sv = np.arange(SV_DIM) * 1.0
     test_cm = np.arange(CM_DIM) + 50.0
-    sv.add("e", enroll)
-    sv.add("t", test_sv)
-    cm.add("t", test_cm)
+    sv = EmbeddingStore("sv", ["e", "t"], [enroll, test_sv])
+    cm = EmbeddingStore("cm", ["t"], [test_cm])
     rows = check_protocol_ids(Protocol([Trial("e", "t", TrialLabel.TARGET)]), sv, cm)
 
     def layout(mode):
@@ -122,13 +118,12 @@ def test_enrollment_swap_leaves_spoof_score_untouched():
 def test_cm_only_ignores_the_sv_embedding():
     model = _model(InputMode.CM_ONLY)
     rng = np.random.default_rng(3)
-    sv_a = EmbeddingStore("sv")
-    sv_b = EmbeddingStore("sv")
-    cm = EmbeddingStore("cm")
-    for i in range(4):
-        sv_a.add(f"u{i}", rng.normal(size=SV_DIM))
-        sv_b.add(f"u{i}", rng.normal(size=SV_DIM))
-        cm.add(f"u{i}", rng.normal(size=CM_DIM))
+    rows = [(rng.normal(size=SV_DIM), rng.normal(size=SV_DIM), rng.normal(size=CM_DIM))
+            for _ in range(4)]
+    ids = [f"u{i}" for i in range(4)]
+    sv_a = EmbeddingStore("sv", ids, [a for a, _, _ in rows])
+    sv_b = EmbeddingStore("sv", ids, [b for _, b, _ in rows])
+    cm = EmbeddingStore("cm", ids, [c for _, _, c in rows])
     protocol = Protocol([Trial("u0", "u1", TrialLabel.TARGET),
                          Trial("u2", "u3", TrialLabel.NONTARGET)])
     r_a = score_protocol(model, protocol, sv_a, cm)

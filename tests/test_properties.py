@@ -2,8 +2,11 @@
 
 A trial's scores must depend on that trial alone, whatever other trials share
 its protocol; the CM scores of a model source must equal the spoofing scores
-of protocol scoring; any id a store accepts must survive a save and load; and
-a bulk append must end as the same rows added one by one would.
+of protocol scoring; any id a store accepts must survive a save and load; a
+store built from all of its rows must hold what the per-row reference store
+holds after adding them one by one, or fail where it first fails; and the
+bulk embedding loader must load what the line-by-line reference loads, or
+fail with the same error class at the same first faulty line.
 Inputs are drawn as seeds and sizes, then built with NumPy, so one example
 can hold several scoring chunks' worth of trials. The metrics are checked
 against brute force: the cascade fit against one full EER per candidate
@@ -23,6 +26,7 @@ import zlib
 
 import numpy as np
 import pytest
+import reference_embeddings as reference
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +34,7 @@ from sasv import cli
 from sasv.baselines import (CmScoreSource, _gated_prefix_eers, cascade_scores,
                             fit_cascade, load_cm_scores)
 from sasv.checkpoint import Checkpoint, checkpoint_from_bytes, checkpoint_to_bytes
-from sasv.core import (DataError, EmbeddingStore, Protocol, Trial, TrialLabel,
+from sasv.core import (DataError, EmbeddingStore, NumericError, Protocol, Trial, TrialLabel,
                        cosine_rows, load_embeddings, load_protocol, save_embeddings)
 from sasv.loss import OneClassSoftmaxConfig
 from sasv.metrics import SCORE_CSV_HEADER, eer, load_scores
@@ -48,10 +52,11 @@ ID_CHARS = st.one_of(st.sampled_from("#\t\n\r \x0b\x0c\x1c\x85\u2028a"), st.char
 def _case(seed: int, mode: InputMode, n_utts: int, n_trials: int):
     rng = np.random.default_rng(seed)
     sv_dim, cm_dim = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-    sv, cm = EmbeddingStore("sv"), EmbeddingStore("cm")
-    for i in range(n_utts):
-        sv.add(f"u{i}", rng.normal(size=sv_dim) * rng.uniform(0.1, 10.0))
-        cm.add(f"u{i}", rng.normal(size=cm_dim) * rng.uniform(0.1, 10.0))
+    rows = [(rng.normal(size=sv_dim) * rng.uniform(0.1, 10.0),
+             rng.normal(size=cm_dim) * rng.uniform(0.1, 10.0)) for _ in range(n_utts)]
+    ids = [f"u{i}" for i in range(n_utts)]
+    sv = EmbeddingStore("sv", ids, [sv_row for sv_row, _ in rows])
+    cm = EmbeddingStore("cm", ids, [cm_row for _, cm_row in rows])
     model = IntegrationModel(mode, sv_dim, cm_dim, np.random.default_rng(seed + 1))
     # running statistics away from their initial values, as after training
     model.bn.running_mean[:] = rng.normal(size=model.input_dim)
@@ -101,14 +106,16 @@ def test_model_cm_source_equals_protocol_spoof_scores(seed, mode, n_utts, n_tria
        values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                        min_size=2, max_size=2))
 def test_accepted_ids_round_trip_through_files(tmp_path, ids, values):
-    store = EmbeddingStore("sv")
+    accepted = []
     for utt_id in ids:
         try:
-            store.add(utt_id, values)
+            EmbeddingStore("sv", [utt_id], [values])
         except DataError:
             continue
-    if len(store) == 0:
+        accepted.append(utt_id)
+    if not accepted:
         return
+    store = EmbeddingStore("sv", accepted, [values] * len(accepted))
     path = tmp_path / "emb.tsv"
     save_embeddings(store, str(path))
     loaded = load_embeddings(str(path), "sv")
@@ -116,35 +123,25 @@ def test_accepted_ids_round_trip_through_files(tmp_path, ids, values):
     assert loaded.matrix.tobytes() == store.matrix.tobytes()
 
 
-
 ROW_VALUES = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([np.nan, np.inf, -np.inf, 1e300]))
 
 
 @settings(PROPERTY, max_examples=300)
-@given(prior=st.lists(st.text(ID_CHARS, max_size=3), max_size=3),
-       ids=st.lists(st.text(ID_CHARS, max_size=3), min_size=1, max_size=6),
-       width=st.sampled_from([2, 2, 2, 1, 3]), flat=st.booleans(), data=st.data())
-# a bad id after the rows that are fine, ahead of a non-finite row
-@example(prior=["a"], ids=["b", "a"], width=2, flat=False, data=[1.0, 1.0, np.nan, 1.0])
-# a non-finite first row of the wrong dimension
-@example(prior=["a"], ids=["b"], width=3, flat=False, data=[np.inf, 1.0, 1.0])
-def test_add_rows_fails_where_add_would_and_changes_nothing(prior, ids, width, flat, data):
-    """`add_rows` against adding the same rows one by one: the same store, or
-    a DataError with the first message `add` gives and the store unchanged."""
+@given(ids=st.lists(st.text(ID_CHARS, max_size=3), min_size=1, max_size=6),
+       width=st.sampled_from([2, 2, 2, 1, 3]), data=st.data())
+# a repeated id after the rows that are fine, in a row that is also non-finite
+@example(ids=["a", "b", "a"], width=2, data=[0.5, -0.5, 1.0, 1.0, np.nan, 1.0])
+# a non-finite value before a later repeated id
+@example(ids=["b", "a", "b"], width=3, data=[1.0] * 3 + [np.inf, 1.0, 1.0] + [1.0] * 3)
+def test_embedding_store_fails_where_the_reference_add_would(ids, width, data):
+    """The constructor against the reference adding the same rows one by one:
+    the same index, matrix and dimension, or a DataError with the first
+    message `add` gives, naming the row `add` failed on, and `rows` untouched."""
     values = (data if isinstance(data, list) else
               data.draw(st.lists(ROW_VALUES, min_size=len(ids) * width,
                                  max_size=len(ids) * width)))
     rows = np.array(values).reshape(len(ids), width)
-    if flat:
-        rows = rows[:, 0]  # a 1-D input: each "row" a scalar
-    bulk, one_by_one = EmbeddingStore("cm"), EmbeddingStore("cm")
-    for store in (bulk, one_by_one):
-        for utt_id in prior:
-            try:
-                store.add(utt_id, [0.5, -0.5])
-            except DataError:
-                pass
-    before = (dict(bulk.index), bulk.dimension, bulk.matrix.tobytes())
+    one_by_one = reference.EmbeddingStore("cm")
     want = None
     for utt_id, row in zip(ids, rows):
         try:
@@ -153,15 +150,95 @@ def test_add_rows_fails_where_add_would_and_changes_nothing(prior, ids, width, f
             want = str(exc)
             break
     if want is None:
-        bulk.add_rows(ids, rows)
-        assert list(bulk.index.items()) == list(one_by_one.index.items())
-        assert bulk.matrix.tobytes() == one_by_one.matrix.tobytes()
-        assert bulk.dimension == one_by_one.dimension
+        store = EmbeddingStore("cm", ids, rows)
+        assert list(store.index.items()) == list(one_by_one.index.items())
+        assert store.matrix.tobytes() == one_by_one.matrix.tobytes()
+        assert store.dimension == one_by_one.dimension
     else:
+        before = rows.tobytes()
         with pytest.raises(DataError) as exc:
-            bulk.add_rows(ids, rows)
-        assert str(exc.value) == want
-        assert (dict(bulk.index), bulk.dimension, bulk.matrix.tobytes()) == before
+            EmbeddingStore("cm", ids, rows)
+        assert str(exc.value) == want and exc.value.row == len(one_by_one)
+        assert rows.flags.writeable and rows.tobytes() == before
+
+
+# the lines of a small embedding file, faulty ones among them: repeated and
+# empty ids, non-finite and all-zero rows, bad floats, missing tabs, no
+# values and rows of the wrong width, beside comments and blank lines
+EMBEDDING_ID = st.sampled_from(["u1", "u2", "u3", " u4", "u1", "u2", "u3", ""])
+FINITE_VALUE = st.sampled_from(["0.5", "-3", "1e-3", "2.5e300", "1e-310", "7", "0", "-0"])
+ANY_VALUE = st.one_of(FINITE_VALUE, st.sampled_from(["inf", "-inf", "nan", "1e999",
+                                                     "1.5x", "--1"]))
+
+
+def _embedding_line(values):
+    return st.tuples(EMBEDDING_ID, values).map(lambda line: f"{line[0]}\t{' '.join(line[1])}")
+
+
+GOOD_LINE = _embedding_line(st.lists(FINITE_VALUE, min_size=2, max_size=2))
+EMBEDDING_LINE = st.one_of(
+    GOOD_LINE, GOOD_LINE, GOOD_LINE,
+    _embedding_line(st.lists(ANY_VALUE, min_size=2, max_size=2)),
+    _embedding_line(st.sampled_from([["0", "0"], ["-0", "0.0"]])),
+    _embedding_line(st.lists(ANY_VALUE, min_size=0, max_size=3)),
+    st.sampled_from(["# comment", "  # indented", "", "   ", "u5 1 2", "u5\t1\t2"]),
+)
+
+
+def _load_outcome(load, path: str, normalize: bool):
+    """The store `load` makes, or its error's class and message."""
+    try:
+        return load(path, "sv", normalize=normalize)
+    except (DataError, NumericError) as exc:
+        return type(exc), str(exc)
+
+
+def _first_faulty_line(path: str, lines: list[str], normalize: bool) -> int | None:
+    """The line the reference loader first fails on: the shortest head of
+    the file it fails on, short of finding no embeddings."""
+    for n in range(1, len(lines) + 1):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines[:n]) + "\n")
+        outcome = _load_outcome(reference.load_embeddings, path, normalize)
+        if isinstance(outcome, tuple) and "no embeddings found" not in outcome[1]:
+            return n
+    return None
+
+
+@settings(PROPERTY, max_examples=300)
+@given(lines=st.lists(EMBEDDING_LINE, min_size=1, max_size=10), normalize=st.booleans())
+# a repeated id before a non-finite row
+@example(lines=["u1\t1 2", "u1\t3 4", "u2\tinf 1"], normalize=False)
+# a zero-norm row (exit 3) and a repeated id (exit 2), each first in turn
+@example(lines=["u1\t1 2", "u2\t0 0", "u1\t3 4"], normalize=True)
+@example(lines=["u1\t1 2", "u1\t3 4", "u2\t0 0"], normalize=True)
+# under normalization: a zero-norm row with an empty id; a zero-norm row,
+# and a non-finite one, of the wrong width
+@example(lines=["u1\t1 2", "\t0 0"], normalize=True)
+@example(lines=["u1\t1 2", "u2\t0 0 0"], normalize=True)
+@example(lines=["u1\t1 2", "u2\tinf 0 0"], normalize=True)
+def test_load_embeddings_matches_the_line_by_line_reference(tmp_path, lines, normalize):
+    """The bulk loader against the line-by-line one: the same index and
+    matrix bits, or the same error class raised at the same first faulty
+    line, a DataError with the same `path:lineno`."""
+    path = str(tmp_path / "emb.tsv")
+    text = "\n".join(lines) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    got = _load_outcome(load_embeddings, path, normalize)
+    want = _load_outcome(reference.load_embeddings, path, normalize)
+    if not isinstance(want, tuple):
+        assert not isinstance(got, tuple), got
+        assert list(got.index.items()) == list(want.index.items())
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        return
+    assert isinstance(got, tuple) and got[0] is want[0], (got, want)
+    location = re.compile(re.escape(path) + r"(:\d+)?: ")
+    if want[0] is DataError:
+        assert location.match(got[1])[0] == location.match(want[1])[0], (got, want)
+    else:  # the reference's NumericError names no line: find it by truncation
+        line = _first_faulty_line(path, lines, normalize)
+        assert location.match(got[1])[0] == f"{path}:{line}: ", (got, line)
 
 
 def _fit_cascade_oracle(s_sv, s_cm, labels) -> float:

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+import reference_embeddings as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sasv.core import (DataError, EmbeddingStore, NumericError, Protocol, Trial, TrialLabel,
+from sasv.core import (DataError, NumericError, Protocol, Trial, TrialLabel,
                        check_protocol_ids)
 from sasv.synthgen import (DATASET_FILES, SPLIT_NAMES, SynthConfig, SynthDataset,
                            _split_sizes, describe, gaussians, generate, write_dataset)
@@ -194,8 +195,8 @@ def _reference_generate(cfg: SynthConfig) -> SynthDataset:
         spk: length_normalize(gaussians(rng, cfg.sv_dim)) for spk in speakers
     }
 
-    sv_store = EmbeddingStore("sv")
-    cm_store = EmbeddingStore("cm")
+    sv_store = reference.EmbeddingStore("sv")
+    cm_store = reference.EmbeddingStore("cm")
     bona_utts: dict[str, list[str]] = {spk: [] for spk in speakers}
     spoof_utts: dict[str, list[str]] = {spk: [] for spk in speakers}
     half_sep = 0.5 * cfg.cm_separation
