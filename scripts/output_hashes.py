@@ -15,6 +15,8 @@ runs, in a temporary directory and against the `sasv` package under --src
   normalizing embedding load;
 - `baseline` `sum`, `cascade` and `logreg` with the `cm_only` model as the
   CM scorer;
+- `baseline` `sum`, `cascade` and `logreg` with a CM score table (`--cm-scores`)
+  made of the first value of each row of the CM embedding file;
 - `gradcheck --seeds 3`;
 
 then prints `sha256  path` for each file written, by relative path, except
@@ -39,6 +41,15 @@ def _sasv(src: str, *args: str) -> None:
     env = dict(os.environ, PYTHONPATH=src, SASV_LOG="error")
     subprocess.run([sys.executable, "-m", "sasv.cli", *args], env=env, check=True,
                    stdout=subprocess.DEVNULL)
+
+
+def _first_values(embeddings: str, table: str) -> None:
+    """Write an ID<TAB>score table of the first value of each embedding line."""
+    with open(embeddings, encoding="utf-8") as lines, \
+            open(table, "w", encoding="utf-8", newline="\n") as out:
+        for line in lines:
+            utt_id, values = line.rstrip("\n").split("\t")
+            out.write(f"{utt_id}\t{values.split()[0]}\n")
 
 
 def run_pipeline(src: str, work: str) -> None:
@@ -71,6 +82,12 @@ def run_pipeline(src: str, work: str) -> None:
         _sasv(src, "baseline", "--kind", kind, *stores, "--cm-model", cm_model,
               "--dev-protocol", dev, "--eval-protocol", eval_protocol,
               "--out", os.path.join(work, f"baseline_{kind}"))
+    table = os.path.join(work, "cm_scores.tsv")
+    _first_values(os.path.join(data, "cm_embeddings.tsv"), table)
+    for kind in BASELINES:
+        _sasv(src, "baseline", "--kind", kind, "--sv-emb", stores[1], "--cm-scores", table,
+              "--dev-protocol", dev, "--eval-protocol", eval_protocol,
+              "--out", os.path.join(work, f"baseline_table_{kind}"))
     _sasv(src, "gradcheck", "--seeds", "3", "--out", os.path.join(work, "gradcheck"))
 
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .core import (DataError, EmbeddingStore, NumericError, Protocol, ScoreRecord,
-                   TrialLabel, _data_lines, check_protocol_ids, sv_scores)
+                   TrialLabel, _data_lines, check_protocol_ids, load_embeddings,
+                   sv_scores)
 from .loss import sigmoid
 from .metrics import eer, eer_at_crossing
 from .model import IntegrationModel, spoof_scores_for
@@ -27,25 +28,14 @@ LOGREG_LR = 1e-2
 
 
 def load_cm_scores(path: str) -> dict[str, float]:
-    """Parse an ID<TAB>score file ('#' comments allowed)."""
-    table: dict[str, float] = {}
-    for lineno, line in _data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: malformed line, expected ID<TAB>score")
-        utt_id, text = parts
-        if utt_id in table:
-            raise DataError(f"{path}:{lineno}: duplicate id {utt_id!r}")
-        try:
-            value = float(text)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: bad score {text!r}") from None
-        if not np.isfinite(value):
-            raise DataError(f"{path}:{lineno}: non-finite score")
-        table[utt_id] = value
-    if not table:
-        raise DataError(f"{path}: no scores found")
-    return table
+    """Read an ID<TAB>score file: a CM embedding file of one value per line,
+    read by `load_embeddings` and never normalized."""
+    store = load_embeddings(path, "cm")
+    if store.dimension != 1:
+        lineno, _ = next(_data_lines(path))
+        raise DataError(f"{path}:{lineno}: a CM score table holds one score per "
+                        f"line, found {store.dimension}")
+    return dict(zip(store.index, store.matrix[:, 0].tolist()))
 
 
 @dataclass

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import baselines, gradcheck, metrics, synthgen, training
 from .checkpoint import load_checkpoint, save_checkpoint
-from .core import DataError, NumericError, load_embeddings, load_protocol
+from .core import DataError, NumericError, TrialLabel, load_embeddings, load_protocol
 from .loss import OneClassSoftmaxConfig
 from .model import InputMode, IntegrationModel, score_protocol
 from .synthgen import SynthConfig
@@ -81,12 +81,11 @@ def cmd_synth(args) -> int:
     ds = synthgen.generate(cfg)
     paths = synthgen.write_dataset(ds, args.out)
     _write_sidecar(args.out, "synth", args)
-    info = synthgen.describe(ds)
     for split in synthgen.SPLIT_NAMES:
-        stats = info["splits"][split]
-        print(f"{split}: {stats['speakers']} speakers, "
-              f"{stats['target']} target / {stats['nontarget']} nontarget / "
-              f"{stats['spoof']} spoof trials")
+        counts = ds.protocols[split].counts()
+        print(f"{split}: {len(ds.split_speakers[split])} speakers, "
+              f"{counts[TrialLabel.TARGET]} target / {counts[TrialLabel.NONTARGET]} "
+              f"nontarget / {counts[TrialLabel.SPOOF]} spoof trials")
     print(f"wrote {', '.join(sorted(paths.values()))}")
     return EXIT_OK
 
@@ -112,7 +111,7 @@ def cmd_train(args) -> int:
     )
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     model = IntegrationModel(
-        InputMode.parse(args.mode), sv_store.dimension, cm_store.dimension,
+        InputMode(args.mode), sv_store.dimension, cm_store.dimension,
         rng, normalize_embeddings=normalize,
     )
     result = training.train(model, sv_store, cm_store, train_protocol,

@@ -101,6 +101,11 @@ def _unsavable_ids(ids: list[str]) -> bool:
             or _ID_COMMENT.search("\n".join(ids)) is not None)
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in ("sv", "cm"):
+        raise DataError(f"embedding store kind must be 'sv' or 'cm', got {kind!r}")
+
+
 class EmbeddingStore:
     """One subsystem's embeddings ('sv' or 'cm'), made once from all of its
     rows: a read-only [N, D] float64 `matrix`, row i that of the i-th id, and
@@ -110,8 +115,7 @@ class EmbeddingStore:
     its memory or is read-only already becomes `matrix` without a copy."""
 
     def __init__(self, kind: str, ids, rows):
-        if kind not in ("sv", "cm"):
-            raise DataError(f"embedding store kind must be 'sv' or 'cm', got {kind!r}")
+        _check_kind(kind)
         ids = list(ids)
         if not ids:
             raise DataError(f"no embedding ids given to the {kind} store")
@@ -251,7 +255,9 @@ def _data_lines(path: str):
 def load_embeddings(path: str, kind: str, normalize: bool = False) -> EmbeddingStore:
     """Parse an embedding file of ID<TAB>values lines, the values space-separated
     floats as many as on the first line, into a store built once from all of
-    its rows. Errors carry the line number of the first faulty line."""
+    its rows. Errors carry the line number of the first faulty line; a bad
+    kind is refused before the file is opened."""
+    _check_kind(kind)
     ids, linenos, values, width = [], array("q"), array("d"), 0
     for lineno, line in _data_lines(path):
         row = None

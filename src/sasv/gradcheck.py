@@ -59,20 +59,23 @@ def _away_from_kink(x: np.ndarray, margin: float = 1e-3) -> np.ndarray:
     return np.where(np.abs(x) < margin, margin, x)
 
 
-def check_linear(seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    layer = LinearLayer.init(rng, 5, 7)
-    x = rng.normal(size=(4, 5))
-    upstream = rng.normal(size=(4, 7))
-
-    def loss_fn():
-        return float((layer.forward(x) * upstream).sum())
-
+def _check_layer(layer, x: np.ndarray, upstream: np.ndarray, loss_fn) -> float:
+    # the layer's own training-mode backward of `upstream`, against loss_fn's
+    # central differences in each of its parameters and in its input x
     tape = GradientTape()
     layer.forward(x, tape)
     gx = tape.backward(upstream)
     return check_gradients({**layer.parameters(), "x": x}, {**layer.grads, "x": gx},
                            loss_fn)
+
+
+def check_linear(seed: int) -> float:
+    rng = np.random.default_rng(seed)
+    layer = LinearLayer.init(rng, 5, 7)
+    x = rng.normal(size=(4, 5))
+    upstream = rng.normal(size=(4, 7))
+    return _check_layer(layer, x, upstream,
+                        lambda: float((layer.forward(x) * upstream).sum()))
 
 
 def check_batch_norm(seed: int) -> float:
@@ -82,15 +85,8 @@ def check_batch_norm(seed: int) -> float:
     layer.beta[:] = rng.normal(size=6)
     x = rng.normal(size=(5, 6))
     upstream = rng.normal(size=(5, 6))
-
-    def loss_fn():
-        return float((layer.forward(x, GradientTape()) * upstream).sum())
-
-    tape = GradientTape()
-    layer.forward(x, tape)
-    gx = tape.backward(upstream)
-    return check_gradients({**layer.parameters(), "x": x}, {**layer.grads, "x": gx},
-                           loss_fn)
+    return _check_layer(layer, x, upstream,
+                        lambda: float((layer.forward(x, GradientTape()) * upstream).sum()))
 
 
 def check_leaky_relu(seed: int) -> float:
@@ -98,14 +94,8 @@ def check_leaky_relu(seed: int) -> float:
     layer = LeakyReluLayer()
     x = _away_from_kink(rng.normal(size=(4, 6)))
     upstream = rng.normal(size=(4, 6))
-
-    def loss_fn():
-        return float((layer.forward(x) * upstream).sum())
-
-    tape = GradientTape()
-    layer.forward(x, tape)
-    gx = tape.backward(upstream)
-    return check_gradients({"x": x}, {"x": gx}, loss_fn)
+    return _check_layer(layer, x, upstream,
+                        lambda: float((layer.forward(x) * upstream).sum()))
 
 
 def check_cosine_head(seed: int) -> float:
@@ -113,15 +103,7 @@ def check_cosine_head(seed: int) -> float:
     layer = CosineHead.init(rng, 6)
     e = rng.normal(size=(4, 6))
     upstream = rng.normal(size=4)
-
-    def loss_fn():
-        return float(layer.forward(e) @ upstream)
-
-    tape = GradientTape()
-    layer.forward(e, tape)
-    ge = tape.backward(upstream)
-    return check_gradients({**layer.parameters(), "e": e}, {**layer.grads, "e": ge},
-                           loss_fn)
+    return _check_layer(layer, e, upstream, lambda: float(layer.forward(e) @ upstream))
 
 
 def _composite_inputs(model: IntegrationModel, rng: np.random.Generator,

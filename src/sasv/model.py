@@ -51,16 +51,6 @@ class InputMode(Enum):
     def uses_enrollment(self) -> bool:
         return self is InputMode.CONCAT_PLUS_ENROLL
 
-    @classmethod
-    def parse(cls, text: str) -> "InputMode":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise DataError(
-                f"unknown input mode {text!r} (expected concat, cm_only or "
-                "concat_plus_enroll)"
-            ) from None
-
 
 class IntegrationModel:
     def __init__(self, mode: InputMode, sv_dim: int, cm_dim: int,

@@ -22,13 +22,13 @@ draw per utterance would.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (DataError, EmbeddingStore, Protocol, Trial, TrialLabel,
-                   check_protocol_ids, length_normalize, length_normalize_rows,
-                   save_embeddings, save_protocol, sv_scores)
+                   length_normalize, length_normalize_rows, save_embeddings,
+                   save_protocol)
 
 SPLIT_NAMES = ("train", "dev", "eval")
 
@@ -66,8 +66,6 @@ class SynthDataset:
     cm_store: EmbeddingStore
     protocols: dict[str, Protocol]
     split_speakers: dict[str, list[str]]
-    cm_direction: np.ndarray = field(repr=False, default=None)
-    spoof_direction: np.ndarray = field(repr=False, default=None)
 
 
 def _box_muller(u: np.ndarray, n: int) -> np.ndarray:
@@ -168,36 +166,7 @@ def generate(cfg: SynthConfig) -> SynthDataset:
         cm_store=cm_store,
         protocols=protocols,
         split_speakers=split_speakers,
-        cm_direction=cm_dir,
-        spoof_direction=spoof_dir,
     )
-
-
-def describe(ds: SynthDataset) -> dict:
-    """Per-split trial counts and separation statistics, for sanity checks."""
-    out = {"seed": ds.config.seed, "splits": {}}
-    for split, protocol in ds.protocols.items():
-        counts = protocol.counts()
-        s_sv = sv_scores(check_protocol_ids(protocol, ds.sv_store, None), ds.sv_store)
-        labels = np.array([t.label for t in protocol.trials])
-        tar_cos = s_sv[labels == TrialLabel.TARGET]
-        non_cos = s_sv[labels == TrialLabel.NONTARGET]
-        test_ids = {t.test_id: t.label for t in protocol.trials}
-        bona_proj = [float(ds.cm_store.vector(u) @ ds.cm_direction)
-                     for u, lab in test_ids.items() if lab is not TrialLabel.SPOOF]
-        spoof_proj = [float(ds.cm_store.vector(u) @ ds.cm_direction)
-                      for u, lab in test_ids.items() if lab is TrialLabel.SPOOF]
-        out["splits"][split] = {
-            "speakers": len(ds.split_speakers[split]),
-            "target": counts[TrialLabel.TARGET],
-            "nontarget": counts[TrialLabel.NONTARGET],
-            "spoof": counts[TrialLabel.SPOOF],
-            "mean_target_sv_cosine": float(np.mean(tar_cos)),
-            "mean_nontarget_sv_cosine": float(np.mean(non_cos)),
-            "mean_bona_cm_projection": float(np.mean(bona_proj)) if bona_proj else None,
-            "mean_spoof_cm_projection": float(np.mean(spoof_proj)) if spoof_proj else None,
-        }
-    return out
 
 
 DATASET_FILES = {

@@ -18,8 +18,8 @@ def test_load_cm_scores(tmp_path):
 
 
 @pytest.mark.parametrize("line,fragment", [
-    ("u1 0.5", "ID<TAB>score"),
-    ("u1\tabc", "bad score"),
+    ("u1 0.5", "ID<TAB>values"),
+    ("u1\tabc", "bad float"),
     ("u1\tinf", "non-finite"),
 ])
 def test_load_cm_scores_errors(tmp_path, line, fragment):
@@ -33,11 +33,23 @@ def test_load_cm_scores_errors(tmp_path, line, fragment):
 def test_load_cm_scores_duplicate_and_empty(tmp_path):
     path = tmp_path / "cm.tsv"
     path.write_text("u1\t0.5\nu1\t0.7\n")
-    with pytest.raises(DataError, match="duplicate"):
+    with pytest.raises(DataError, match=r"cm\.tsv:2: duplicate embedding id 'u1'"):
         baselines.load_cm_scores(str(path))
     path.write_text("# none\n")
-    with pytest.raises(DataError, match="no scores"):
+    with pytest.raises(DataError, match="no embeddings found"):
         baselines.load_cm_scores(str(path))
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("u1\t0.5\n\t0.7\n", "empty embedding id"),
+    ("# scores\nu1\t0.5 0.7\nu2\t0.1 0.2\n", "one score per line, found 2"),
+], ids=["empty-id", "two-values"])
+def test_load_cm_scores_refuses_what_the_embedding_rules_refuse(tmp_path, text, fragment):
+    path = tmp_path / "cm.tsv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=fragment) as err:
+        baselines.load_cm_scores(str(path))
+    assert str(err.value).startswith(f"{path}:2: ")
 
 
 def _two_trial_protocol():

@@ -211,6 +211,21 @@ def test_baseline_with_score_table_reads_no_cm_embeddings(workspace, tmp_path):
     assert _run(common + ["--cm-model", str(model), "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("line", ["\t0.5", "u1\t0.5 0.7"], ids=["empty-id", "two-values"])
+def test_baseline_with_a_faulty_score_table_exits_2(workspace, tmp_path, capsys, line):
+    data = workspace["data"]
+    table = _cm_table(data, tmp_path / "cm_scores.tsv")
+    lines = table.read_text().splitlines() + [line]
+    table.write_text("\n".join(lines) + "\n")
+    args = ["baseline", "--kind", "sum",
+            "--sv-emb", str(data / "sv_embeddings.tsv"),
+            "--cm-scores", str(table),
+            "--eval-protocol", str(data / "eval_protocol.tsv"),
+            "--out", str(tmp_path / "b")]
+    assert _run(args) == 2
+    assert f"{table}:{len(lines)}:" in capsys.readouterr().err
+
+
 def test_gradcheck_runs_and_reports(tmp_path, capsys):
     out = tmp_path / "gc"
     assert _run(["gradcheck", "--seeds", "1", "--coords", "4",

@@ -304,6 +304,15 @@ def test_load_embeddings_empty_file(tmp_path):
         load_embeddings(str(path), "sv")
 
 
+def test_load_embeddings_refuses_a_bad_kind_before_reading_the_file(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text("u1 1 2\n")  # no tab: a malformed line, were it parsed
+    with pytest.raises(DataError, match="kind must be 'sv' or 'cm', got 'asr'"):
+        load_embeddings(str(path), "asr")
+    with pytest.raises(DataError, match="kind must be"):
+        load_embeddings(str(tmp_path / "missing.tsv"), "asr")
+
+
 def test_load_embeddings_reports_the_first_faulty_line(tmp_path):
     path = tmp_path / "emb.tsv"
     path.write_text("a\t1.0 2.0\nb\t1.0 oops\nc\t3.0\n")

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from sasv import gradcheck
 from sasv.model import IntegrationModel
+from sasv.neuralnet import BatchNormLayer, CosineHead, LeakyReluLayer, LinearLayer
 
 
 def test_relative_error_uses_guarded_denominator():
@@ -61,6 +63,34 @@ def test_component_checks_pass_individually():
     assert gradcheck.check_leaky_relu(0) < gradcheck.REL_TOL
     assert gradcheck.check_cosine_head(0) < gradcheck.REL_TOL
     assert gradcheck.check_composite(0, coords_per_param=8) < gradcheck.REL_TOL
+
+
+@pytest.mark.parametrize("component,layer_cls,grad", [
+    ("linear", LinearLayer, "weight"),
+    ("linear", LinearLayer, "bias"),
+    ("linear", LinearLayer, "x"),
+    ("batch_norm", BatchNormLayer, "gamma"),
+    ("batch_norm", BatchNormLayer, "beta"),
+    ("batch_norm", BatchNormLayer, "x"),
+    ("leaky_relu", LeakyReluLayer, "x"),
+    ("cosine_head", CosineHead, "direction"),
+    ("cosine_head", CosineHead, "x"),
+])
+def test_layer_check_flags_a_planted_backward_error(monkeypatch, component, layer_cls,
+                                                    grad):
+    # each layer check must compare the layer's own backward: scaling one of
+    # its parameter gradients, or its input gradient, must fail that check
+    backward = layer_cls.backward
+
+    def scaled(layer, cache, gy):
+        gx = backward(layer, cache, gy)
+        if grad == "x":
+            return gx * 1.5
+        layer.grads[grad][...] *= 1.5
+        return gx
+
+    monkeypatch.setattr(layer_cls, "backward", scaled)
+    assert getattr(gradcheck, f"check_{component}")(0) > gradcheck.REL_TOL
 
 
 def test_run_gradient_checks_covers_all_components():

@@ -39,9 +39,6 @@ def test_input_mode_dimensions():
     assert InputMode.CONCAT_PLUS_ENROLL.input_dim(6, 5) == 17
     assert InputMode.CONCAT_PLUS_ENROLL.uses_enrollment
     assert not InputMode.CONCAT.uses_enrollment
-    assert InputMode.parse(" Concat ") is InputMode.CONCAT
-    with pytest.raises(DataError, match="unknown input mode"):
-        InputMode.parse("stack")
 
 
 def test_assemble_input_layouts():
