@@ -255,8 +255,9 @@ def _data_lines(path: str):
 def load_embeddings(path: str, kind: str, normalize: bool = False) -> EmbeddingStore:
     """Parse an embedding file of ID<TAB>values lines, the values space-separated
     floats as many as on the first line, into a store built once from all of
-    its rows. Errors carry the line number of the first faulty line; a bad
-    kind is refused before the file is opened."""
+    its rows. Errors carry the line number of the first faulty line, and a
+    width fault also the line the width came from; a bad kind is refused
+    before the file is opened."""
     _check_kind(kind)
     ids, linenos, values, width = [], array("q"), array("d"), 0
     for lineno, line in _data_lines(path):
@@ -280,7 +281,8 @@ def load_embeddings(path: str, kind: str, normalize: bool = False) -> EmbeddingS
                     linenos.append(lineno)
                     values.fromlist(row)
                     continue
-                fault = f"embedding {parts[0]!r} has dimension {len(row)}, store expects {width}"
+                fault = (f"embedding {parts[0]!r} has dimension {len(row)}, store expects "
+                         f"{width} (the width of line {linenos[0]})")
         # the first faulty line decides: the rows before this line come first,
         # then the faults that a row of the wrong width shows before its width
         if ids:
@@ -358,21 +360,24 @@ def save_protocol(protocol: Protocol, path: str) -> None:
 def check_protocol_ids(protocol: Protocol, sv_store: EmbeddingStore,
                        cm_store: EmbeddingStore | None) -> TrialRows:
     """Resolve every trial to store rows: enroll in the SV store, test in the
-    SV and CM stores. The first id that does not resolve is a DataError."""
-    for idx, t in enumerate(protocol.trials, start=1):
-        if t.enroll_id not in sv_store:
-            raise DataError(
-                f"trial {idx}: enroll id {t.enroll_id!r} missing from sv store"
-            )
-        if t.test_id not in sv_store:
-            raise DataError(f"trial {idx}: test id {t.test_id!r} missing from sv store")
-        if cm_store is not None and t.test_id not in cm_store:
-            raise DataError(f"trial {idx}: test id {t.test_id!r} missing from cm store")
-    sv, trials = sv_store.index, protocol.trials
-    test_cm = None if cm_store is None else [cm_store.index[t.test_id] for t in trials]
-    return TrialRows(np.array([sv[t.enroll_id] for t in trials], dtype=np.intp),
-                     np.array([sv[t.test_id] for t in trials], dtype=np.intp),
-                     None if test_cm is None else np.array(test_cm, dtype=np.intp))
+    SV and CM stores. The first id that does not resolve, in trial order and
+    within a trial in that order, is a DataError."""
+    trials, sv = protocol.trials, sv_store.index
+    enroll = np.array([sv.get(t.enroll_id, -1) for t in trials], dtype=np.intp)
+    test = np.array([sv.get(t.test_id, -1) for t in trials], dtype=np.intp)
+    test_cm = None
+    missing = (enroll < 0) | (test < 0)
+    if cm_store is not None:
+        cm = cm_store.index
+        test_cm = np.array([cm.get(t.test_id, -1) for t in trials], dtype=np.intp)
+        missing |= test_cm < 0
+    if missing.any():
+        idx = int(np.argmax(missing))
+        t = trials[idx]
+        what, store = ((f"enroll id {t.enroll_id!r}", "sv") if enroll[idx] < 0
+                       else (f"test id {t.test_id!r}", "sv" if test[idx] < 0 else "cm"))
+        raise DataError(f"trial {idx + 1}: {what} missing from {store} store")
+    return TrialRows(enroll, test, test_cm)
 
 
 def sv_scores(rows: TrialRows, sv_store: EmbeddingStore) -> np.ndarray:

@@ -3,7 +3,8 @@ kept as they were before the store was built once from all of its rows (less
 the bulk `add_rows`): the reference that `EmbeddingStore(kind, ids, rows)`
 and the bulk `load_embeddings` are checked against. Each row goes through
 `add` on its own, so a fault is the first one in file and row order by
-construction.
+construction. One change since: the loader's width fault also names the line
+the width came from, as the bulk loader's does.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ class EmbeddingStore:
             raise DataError(f"embedding store kind must be 'sv' or 'cm', got {kind!r}")
         self.kind = kind
         self.dimension: int | None = None
+        self.width_origin = ""  # appended to a width fault: where the width came from
         self.index: dict[str, int] = {}
         self._data = np.empty((0, 0))
 
@@ -61,7 +63,7 @@ class EmbeddingStore:
         if n_finite > 0 and self.dimension not in (None, mat.shape[1]):
             raise DataError(
                 f"embedding {ids[0]!r} has dimension {mat.shape[1]}, "
-                f"store expects {self.dimension}"
+                f"store expects {self.dimension}{self.width_origin}"
             )
         if n_finite < n_good:
             raise DataError(f"embedding {ids[n_finite]!r} contains a non-finite value")
@@ -137,6 +139,7 @@ def load_embeddings(path: str, kind: str, normalize: bool = False) -> EmbeddingS
             store.add(utt_id, vec)
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
+        store.width_origin = store.width_origin or f" (the width of line {lineno})"
     if len(store) == 0:
         raise DataError(f"{path}: no embeddings found")
     return store

@@ -226,6 +226,22 @@ def test_baseline_with_a_faulty_score_table_exits_2(workspace, tmp_path, capsys,
     assert f"{table}:{len(lines)}:" in capsys.readouterr().err
 
 
+def test_baseline_with_a_stray_value_on_line_1_exits_2(workspace, tmp_path, capsys):
+    data = workspace["data"]
+    table = _cm_table(data, tmp_path / "cm_scores.tsv")
+    lines = table.read_text().splitlines()
+    lines[0] += " 0.7"
+    table.write_text("\n".join(lines) + "\n")
+    args = ["baseline", "--kind", "sum",
+            "--sv-emb", str(data / "sv_embeddings.tsv"),
+            "--cm-scores", str(table),
+            "--eval-protocol", str(data / "eval_protocol.tsv"),
+            "--out", str(tmp_path / "b")]
+    assert _run(args) == 2
+    assert f"{table}:2: " in (err := capsys.readouterr().err)
+    assert "store expects 2 (the width of line 1)" in err
+
+
 def test_gradcheck_runs_and_reports(tmp_path, capsys):
     out = tmp_path / "gc"
     assert _run(["gradcheck", "--seeds", "1", "--coords", "4",

@@ -297,6 +297,17 @@ def test_load_embeddings_errors_carry_line_number(tmp_path, line, fragment):
     assert ":3:" in str(err.value)
 
 
+def test_load_embeddings_width_fault_names_the_line_the_width_came_from(tmp_path):
+    # a stray value on the first data line: the fault is found at the next one
+    path = tmp_path / "scores.tsv"
+    path.write_text("# scores\nu1\t0.5 0.7\nu2\t0.1\n")
+    want = f"{path}:3: embedding 'u2' has dimension 1, store expects 2 (the width of line 2)"
+    for load in (load_embeddings, reference.load_embeddings):
+        with pytest.raises(DataError) as err:
+            load(str(path), "cm")
+        assert str(err.value) == want
+
+
 def test_load_embeddings_empty_file(tmp_path):
     path = tmp_path / "emb.tsv"
     path.write_text("# nothing here\n")

@@ -80,6 +80,48 @@ def test_leaky_relu_values_and_grad():
     assert np.array_equal(gx, [[LEAKY_SLOPE, LEAKY_SLOPE, 1.0, 1.0, 1.0]])
 
 
+# the signed zeros, the least subnormals, a larger subnormal and the infinities
+LEAKY_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, np.inf, -np.inf]
+
+
+def _assert_leaky_relu_matches_oracle(layer, x: np.ndarray) -> None:
+    """The eval output, the training output and the training factor (read
+    back as the input gradient of an all-ones upstream) against the formula
+    the layer was first written with, bit for bit; a NaN input gives NaN."""
+    factor = np.where(x >= 0.0, 1.0, LEAKY_SLOPE)
+    want = x * factor
+    tape = GradientTape()
+    trained = layer.forward(x, tape)
+    got_factor = tape.backward(np.ones_like(x))
+    nan = np.isnan(x)
+    for got in (layer.forward(x), trained):
+        assert np.isnan(got[nan]).all()
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+    assert np.array_equal(got_factor.view(np.int64), factor.view(np.int64))
+
+
+def test_leaky_relu_keeps_the_bits_of_the_where_formula():
+    x = np.random.default_rng(12).standard_normal((256, 256))  # the scoring shape
+    x[0, :len(LEAKY_EDGES)] = LEAKY_EDGES
+    x[1, :3] = [np.nan, -np.nan, 1e308]
+    _assert_leaky_relu_matches_oracle(LeakyReluLayer(), x)
+
+
+class _StrictLeakyRelu(LeakyReluLayer):
+    """A planted bug: the kink at zero taken on the negative branch."""
+
+    def forward(self, x, tape=None):
+        factor = np.maximum(x > 0.0, LEAKY_SLOPE)
+        if tape is not None:
+            tape.push(self, factor)
+        return x * factor
+
+
+def test_leaky_relu_oracle_catches_the_kink_on_the_negative_branch():
+    with pytest.raises(AssertionError):
+        _assert_leaky_relu_matches_oracle(_StrictLeakyRelu(), np.array([[-0.0]]))
+
+
 def test_batch_norm_train_forward_matches_manual():
     rng = np.random.default_rng(3)
     layer = BatchNormLayer(4)

@@ -2,11 +2,13 @@
 
 A trial's scores must depend on that trial alone, whatever other trials share
 its protocol; the CM scores of a model source must equal the spoofing scores
-of protocol scoring; any id a store accepts must survive a save and load; a
-store built from all of its rows must hold what the per-row reference store
-holds after adding them one by one, or fail where it first fails; and the
-bulk embedding loader must load what the line-by-line reference loads, or
-fail with the same error class at the same first faulty line.
+of protocol scoring; ids must resolve to the rows, or fail at the first
+missing id, that a per-trial loop gives; any id a store accepts must survive
+a save and load; a store built from all of its rows must hold what the
+per-row reference store holds after adding them one by one, or fail where it
+first fails; and the bulk embedding loader must load what the line-by-line
+reference loads, or fail with the same error class at the same first faulty
+line.
 Inputs are drawn as seeds and sizes, then built with NumPy, so one example
 can hold several scoring chunks' worth of trials. The metrics are checked
 against brute force: the cascade fit against one full EER per candidate
@@ -35,7 +37,8 @@ from sasv.baselines import (CmScoreSource, _gated_prefix_eers, cascade_scores,
                             fit_cascade, load_cm_scores)
 from sasv.checkpoint import Checkpoint, checkpoint_from_bytes, checkpoint_to_bytes
 from sasv.core import (DataError, EmbeddingStore, NumericError, Protocol, Trial, TrialLabel,
-                       cosine_rows, load_embeddings, load_protocol, save_embeddings)
+                       TrialRows, check_protocol_ids, cosine_rows, load_embeddings,
+                       load_protocol, save_embeddings)
 from sasv.loss import OneClassSoftmaxConfig
 from sasv.metrics import SCORE_CSV_HEADER, eer, load_scores
 from sasv.model import InputMode, IntegrationModel, score_protocol
@@ -99,6 +102,59 @@ def test_model_cm_source_equals_protocol_spoof_scores(seed, mode, n_utts, n_tria
     from_source = CmScoreSource.from_model(model, sv, cm).scores_for(protocol)
     s_spf = np.array([r.s_spf for r in score_protocol(model, protocol, sv, cm)])
     assert from_source.tobytes() == s_spf.tobytes()
+
+
+def _per_trial_check_protocol_ids(protocol, sv_store, cm_store) -> TrialRows:
+    """`check_protocol_ids` as it was before it resolved ids in one pass: a
+    membership test per id of each trial in turn, then the rows."""
+    for idx, t in enumerate(protocol.trials, start=1):
+        if t.enroll_id not in sv_store:
+            raise DataError(
+                f"trial {idx}: enroll id {t.enroll_id!r} missing from sv store"
+            )
+        if t.test_id not in sv_store:
+            raise DataError(f"trial {idx}: test id {t.test_id!r} missing from sv store")
+        if cm_store is not None and t.test_id not in cm_store:
+            raise DataError(f"trial {idx}: test id {t.test_id!r} missing from cm store")
+    sv, trials = sv_store.index, protocol.trials
+    test_cm = None if cm_store is None else [cm_store.index[t.test_id] for t in trials]
+    return TrialRows(np.array([sv[t.enroll_id] for t in trials], dtype=np.intp),
+                     np.array([sv[t.test_id] for t in trials], dtype=np.intp),
+                     None if test_cm is None else np.array(test_cm, dtype=np.intp))
+
+
+def _resolution(resolve, protocol, sv_store, cm_store):
+    """The rows `resolve` gives, or its DataError's message."""
+    try:
+        return resolve(protocol, sv_store, cm_store)
+    except DataError as exc:
+        return str(exc)
+
+
+UTTERANCES = ["a", "b", "c", "d", "e"]
+STORE_IDS = st.lists(st.sampled_from(UTTERANCES), min_size=1, max_size=5, unique=True)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(pairs=st.lists(st.tuples(st.sampled_from(UTTERANCES), st.sampled_from(UTTERANCES)),
+                      max_size=12),
+       sv_ids=STORE_IDS, cm_ids=st.none() | STORE_IDS)
+# trial 1 lacks its test id in the CM store only, trial 2 its enrollment id
+@example(pairs=[("a", "b"), ("c", "a")], sv_ids=["a", "b"], cm_ids=["a"])
+def test_check_protocol_ids_equals_the_per_trial_loop(pairs, sv_ids, cm_ids):
+    """Rows of the same dtype and values, or the same first missing id."""
+    protocol = Protocol([Trial(e, t, TrialLabel.TARGET) for e, t in pairs])
+    sv = EmbeddingStore("sv", sv_ids, np.ones((len(sv_ids), 2)))
+    cm = None if cm_ids is None else EmbeddingStore("cm", cm_ids, np.ones((len(cm_ids), 1)))
+    got = _resolution(check_protocol_ids, protocol, sv, cm)
+    want = _resolution(_per_trial_check_protocol_ids, protocol, sv, cm)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert isinstance(got, TrialRows) and (got.test_cm is None) == (want.test_cm is None)
+    for a, b in zip(got, want):
+        if b is not None:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @PROPERTY
