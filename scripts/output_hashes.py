@@ -14,7 +14,8 @@ runs, in a temporary directory and against the `sasv` package under --src
   learning rate 1e-3) and its `eval`, so the hashes also cover the
   normalizing embedding load;
 - `baseline` `sum`, `cascade` and `logreg` with the `cm_only` model as the
-  CM scorer;
+  CM scorer, and again with the normalizing `concat` model, so the hashes
+  also cover a baseline that loads its embeddings normalized;
 - `baseline` `sum`, `cascade` and `logreg` with a CM score table (`--cm-scores`)
   made of the first value of each row of the CM embedding file;
 - `gradcheck --seeds 3`;
@@ -77,11 +78,13 @@ def run_pipeline(src: str, work: str) -> None:
           "--dev-protocol", dev, "--out", run)
     _sasv(src, "eval", "--model", os.path.join(run, "model.ckpt"), *stores,
           "--eval-protocol", eval_protocol, "--out", os.path.join(work, "eval_normalized"))
-    cm_model = os.path.join(work, "train_cm_only", "model.ckpt")
     for kind in BASELINES:
-        _sasv(src, "baseline", "--kind", kind, *stores, "--cm-model", cm_model,
-              "--dev-protocol", dev, "--eval-protocol", eval_protocol,
-              "--out", os.path.join(work, f"baseline_{kind}"))
+        for cm_model, out in (("train_cm_only", f"baseline_{kind}"),
+                              ("train_normalized", f"baseline_normalized_{kind}")):
+            _sasv(src, "baseline", "--kind", kind, *stores,
+                  "--cm-model", os.path.join(work, cm_model, "model.ckpt"),
+                  "--dev-protocol", dev, "--eval-protocol", eval_protocol,
+                  "--out", os.path.join(work, out))
     table = os.path.join(work, "cm_scores.tsv")
     _first_values(os.path.join(data, "cm_embeddings.tsv"), table)
     for kind in BASELINES:

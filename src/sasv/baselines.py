@@ -27,7 +27,7 @@ LOGREG_STEPS = 1000
 LOGREG_LR = 1e-2
 
 
-def load_cm_scores(path: str) -> dict[str, float]:
+def load_cm_scores(path: str) -> EmbeddingStore:
     """Read an ID<TAB>score file: a CM embedding file of one value per line,
     read by `load_embeddings` and never normalized."""
     store = load_embeddings(path, "cm")
@@ -35,20 +35,20 @@ def load_cm_scores(path: str) -> dict[str, float]:
         lineno, _ = next(_data_lines(path))
         raise DataError(f"{path}:{lineno}: a CM score table holds one score per "
                         f"line, found {store.dimension}")
-    return dict(zip(store.index, store.matrix[:, 0].tolist()))
+    return store
 
 
 @dataclass
 class CmScoreSource:
     """Per-utterance CM scores, from a score table or from a trained model."""
 
-    table: dict[str, float] | None = None
+    sv_store: EmbeddingStore
+    cm_store: EmbeddingStore
     model: IntegrationModel | None = None
-    stores: tuple[EmbeddingStore, EmbeddingStore] | None = None
 
     @classmethod
-    def from_table(cls, table: dict[str, float]) -> "CmScoreSource":
-        return cls(table=table)
+    def from_table(cls, sv_store: EmbeddingStore, table: EmbeddingStore) -> "CmScoreSource":
+        return cls(sv_store, table)
 
     @classmethod
     def from_model(cls, model: IntegrationModel, sv_store: EmbeddingStore,
@@ -58,17 +58,13 @@ class CmScoreSource:
                 "a concat_plus_enroll model conditions on the enrollment, its "
                 "spoofing score is not a per-utterance CM score"
             )
-        return cls(model=model, stores=(sv_store, cm_store))
+        return cls(sv_store, cm_store, model)
 
     def scores_for(self, protocol: Protocol) -> np.ndarray:
-        if self.model is not None:
-            sv_store, cm_store = self.stores
-            rows = check_protocol_ids(protocol, sv_store, cm_store)
-            return spoof_scores_for(self.model, rows, sv_store, cm_store)
-        try:
-            return np.array([self.table[t.test_id] for t in protocol.trials])
-        except KeyError as exc:
-            raise DataError(f"no CM score for test id {exc.args[0]!r}") from None
+        rows = check_protocol_ids(protocol, self.sv_store, self.cm_store)
+        if self.model is None:
+            return self.cm_store.matrix[rows.test_cm, 0]
+        return spoof_scores_for(self.model, rows, self.sv_store, self.cm_store)
 
 
 def sv_scores_for(protocol: Protocol, sv_store: EmbeddingStore) -> np.ndarray:

@@ -4,6 +4,8 @@ Subcommands: synth, train, eval, score, baseline, gradcheck. Exit codes:
 0 success, 1 usage, 2 data validation, 3 numeric failure. Every run writes
 its resolved configuration to <out>/run_config.json; outputs only ever land
 under --out. The SASV_LOG env var (error|warn|info|debug) sets verbosity.
+eval, score and baseline --cm-model load the embeddings as their checkpoint
+was trained (train --normalize-embeddings); baseline --cm-scores never normalizes.
 """
 
 from __future__ import annotations
@@ -54,12 +56,6 @@ def _write_sidecar(out_dir: str, command: str, args: argparse.Namespace) -> None
         fh.write("\n")
 
 
-def _parse_on_off(value: str | None) -> bool | None:
-    if value is None:
-        return None
-    return value == "on"
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise UsageError(message)
@@ -101,10 +97,8 @@ def cmd_train(args) -> int:
     sv_store, cm_store = _load_stores(args.sv_emb, args.cm_emb, normalize)
     train_protocol = load_protocol(args.train_protocol, "train")
     dev_protocol = load_protocol(args.dev_protocol, "dev")
-    cfg = training.TrainConfig(
-        learning_rate=args.lr, batch_size=args.batch, epochs=args.epochs,
-        seed=args.seed,
-    )
+    cfg = training.TrainConfig(learning_rate=args.lr, batch_size=args.batch,
+                               epochs=args.epochs, seed=args.seed)
     loss_cfg = OneClassSoftmaxConfig(
         scale=args.loss_scale, margin_real=args.margin_real,
         margin_fake=args.margin_fake,
@@ -128,15 +122,8 @@ def cmd_train(args) -> int:
 
 
 def _load_model_and_stores(model_path: str, args):
-    """The checkpoint's model and the stores it scores, loaded as it was
-    trained; --normalize-embeddings may only repeat the checkpoint's setting."""
+    """The checkpoint's model and the stores it scores, loaded as it was trained."""
     model = training.model_from_checkpoint(load_checkpoint(model_path))
-    requested = _parse_on_off(args.normalize_embeddings)
-    if requested is not None and requested != model.normalize_embeddings:
-        raise DataError(
-            "--normalize-embeddings contradicts the checkpoint, which was trained "
-            f"with normalization {'on' if model.normalize_embeddings else 'off'}"
-        )
     sv_store, cm_store = _load_stores(args.sv_emb, args.cm_emb,
                                       model.normalize_embeddings)
     if (sv_store.dimension, cm_store.dimension) != (model.sv_dim, model.cm_dim):
@@ -159,6 +146,10 @@ def _score_eval_protocol(args):
 
 def cmd_eval(args) -> int:
     if args.scores:
+        ignored = [name for name in ("model", "sv_emb", "cm_emb", "eval_protocol")
+                   if getattr(args, name) is not None]
+        _require(not ignored, "eval --scores re-reports the score file alone, it takes no "
+                 + ", ".join("--" + name.replace("_", "-") for name in ignored))
         records = metrics.load_scores(args.scores)
         os.makedirs(args.out, exist_ok=True)
     else:
@@ -189,10 +180,9 @@ def cmd_baseline(args) -> int:
         cm_model, sv_store, cm_store = _load_model_and_stores(args.cm_model, args)
         source = baselines.CmScoreSource.from_model(cm_model, sv_store, cm_store)
     else:
-        sv_store = load_embeddings(args.sv_emb, "sv",
-                                   normalize=args.normalize_embeddings == "on")
+        sv_store = load_embeddings(args.sv_emb, "sv")
         source = baselines.CmScoreSource.from_table(
-            baselines.load_cm_scores(args.cm_scores))
+            sv_store, baselines.load_cm_scores(args.cm_scores))
     eval_protocol = load_protocol(args.eval_protocol, "eval")
     eval_sv = baselines.sv_scores_for(eval_protocol, sv_store)
     eval_cm = source.scores_for(eval_protocol)
@@ -303,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--scores", help="re-report from a previously exported score CSV")
     ev.add_argument("--score-field", default="s_sasv",
                     choices=list(metrics.SCORE_FIELDS))
-    ev.add_argument("--normalize-embeddings", choices=["on", "off"])
     ev.add_argument("--out", required=True)
     ev.set_defaults(func=cmd_eval)
 
@@ -312,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_flags(sc)
     sc.add_argument("--eval-protocol", "--protocol", dest="eval_protocol",
                     required=True)
-    sc.add_argument("--normalize-embeddings", choices=["on", "off"])
     sc.add_argument("--out", required=True)
     sc.set_defaults(func=cmd_score)
 
@@ -327,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     bl.add_argument("--dev-protocol")
     bl.add_argument("--eval-protocol", "--protocol", dest="eval_protocol",
                     required=True)
-    bl.add_argument("--normalize-embeddings", choices=["on", "off"])
     bl.add_argument("--out", required=True)
     bl.set_defaults(func=cmd_baseline)
 

@@ -1,7 +1,7 @@
 """Central finite-difference verification of the analytic gradients.
 
 Each check builds a scalar loss, takes the hand-written backward pass, then
-perturbs parameters one coordinate at a time by +-h and compares. Relative
+perturbs parameters one coordinate at a time by +-FD_STEP and compares. Relative
 error uses max(|analytic|, |numeric|, 1e-8) in the denominator so near-zero
 gradients do not blow up the ratio.
 """
@@ -17,6 +17,10 @@ from .neuralnet import (BatchNormLayer, CosineHead, GradientTape, LeakyReluLayer
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
+KINK_MARGIN = 1e-3  # a layer check's inputs sit this far from the leaky-relu corner
+COMPOSITE_KINK_MARGIN = 1e-4  # and the composite check's pre-activations this far
+COMPOSITE_SV_DIM = COMPOSITE_CM_DIM = 8
+COMPOSITE_BATCH = 6
 COMPONENTS = ("linear", "batch_norm", "leaky_relu", "cosine_head", "composite")
 
 
@@ -25,7 +29,7 @@ def relative_error(analytic: float, numeric: float) -> float:
 
 
 def check_gradients(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-                    loss_fn, h: float = FD_STEP, coords_per_param: int | None = None,
+                    loss_fn, coords_per_param: int | None = None,
                     rng: np.random.Generator | None = None) -> float:
     """Max relative error between analytic gradients and central differences.
 
@@ -44,19 +48,19 @@ def check_gradients(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             coords = rng.choice(size, size=coords_per_param, replace=False)
         for idx in coords:
             orig = flat[idx]
-            flat[idx] = orig + h
+            flat[idx] = orig + FD_STEP
             up = loss_fn()
-            flat[idx] = orig - h
+            flat[idx] = orig - FD_STEP
             down = loss_fn()
             flat[idx] = orig
-            numeric = (up - down) / (2.0 * h)
+            numeric = (up - down) / (2.0 * FD_STEP)
             worst = max(worst, relative_error(float(gflat[idx]), numeric))
     return worst
 
 
-def _away_from_kink(x: np.ndarray, margin: float = 1e-3) -> np.ndarray:
+def _away_from_kink(x: np.ndarray) -> np.ndarray:
     # keep finite differencing off the leaky-relu corner
-    return np.where(np.abs(x) < margin, margin, x)
+    return np.where(np.abs(x) < KINK_MARGIN, KINK_MARGIN, x)
 
 
 def _check_layer(layer, x: np.ndarray, upstream: np.ndarray, loss_fn) -> float:
@@ -106,12 +110,11 @@ def check_cosine_head(seed: int) -> float:
     return _check_layer(layer, e, upstream, lambda: float(layer.forward(e) @ upstream))
 
 
-def _composite_inputs(model: IntegrationModel, rng: np.random.Generator,
-                      batch: int, margin: float = 1e-4):
-    # redraw until no pre-activation sits within `margin` of a leaky-relu kink,
-    # otherwise the central difference straddles the corner
+def _composite_inputs(model: IntegrationModel, rng: np.random.Generator):
+    # redraw until no pre-activation sits within COMPOSITE_KINK_MARGIN of a
+    # leaky-relu kink, otherwise the central difference straddles the corner
     for _ in range(100):
-        x = rng.normal(size=(batch, model.input_dim))
+        x = rng.normal(size=(COMPOSITE_BATCH, model.input_dim))
         tape = GradientTape()
         h = model.bn.forward(x, tape)
         closest = np.inf
@@ -120,22 +123,21 @@ def _composite_inputs(model: IntegrationModel, rng: np.random.Generator,
             pre = lin.forward(h)
             closest = min(closest, float(np.abs(pre).min()))
             h = act.forward(pre)
-        if closest > margin:
+        if closest > COMPOSITE_KINK_MARGIN:
             return x
     raise RuntimeError("could not draw kink-free composite inputs")
 
 
-def check_composite(seed: int, coords_per_param: int | None = 48,
-                    sv_dim: int = 8, cm_dim: int = 8, batch: int = 6) -> float:
+def check_composite(seed: int, coords_per_param: int | None = 48) -> float:
     """Full integration model plus the one-class loss, every parameter checked
     (sampled coordinates by default; the real 256/128/64 stack is ~50k params).
     The analytic gradients come from IntegrationModel.training_loss, the step
     that training runs."""
     rng = np.random.default_rng(seed)
-    model = IntegrationModel(InputMode.CONCAT, sv_dim, cm_dim, rng)
-    x = _composite_inputs(model, rng, batch)
-    s_sv = rng.uniform(-1.0, 1.0, size=batch)
-    z = rng.integers(0, 2, size=batch)
+    model = IntegrationModel(InputMode.CONCAT, COMPOSITE_SV_DIM, COMPOSITE_CM_DIM, rng)
+    x = _composite_inputs(model, rng)
+    s_sv = rng.uniform(-1.0, 1.0, size=COMPOSITE_BATCH)
+    z = rng.integers(0, 2, size=COMPOSITE_BATCH)
     loss_cfg = OneClassSoftmaxConfig()
 
     def loss_fn():

@@ -1,6 +1,6 @@
 """Joint training of the integration net and the SV fusion weight.
 
-Adam with bias-corrected moments, seeded epoch shuffling, and best-epoch
+Adam with bias-corrected moments, a seeded reshuffle every epoch, and best-epoch
 selection on dev SASV-EER (ties keep the earlier epoch). Training stops after
 the first epoch of dev SASV-EER 0.0, since no later epoch can then be chosen.
 The SV cosine inputs are computed once up front since the subsystem embeddings
@@ -27,17 +27,17 @@ log = logging.getLogger(__name__)
 
 HISTORY_CSV_HEADER = ["epoch", "train_loss", "dev_sv_eer", "dev_spf_eer", "dev_sasv_eer"]
 
+ADAM_BETA1 = 0.9  # Adam's defaults (Kingma & Ba, arXiv:1412.6980)
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-4
     batch_size: int = 24
     epochs: int = 40
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
-    shuffle: bool = True
 
 
 @dataclass
@@ -68,8 +68,7 @@ class AdamState:
         self._step = np.empty_like(params)
 
 
-def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
     """One in-place Adam update of `params` from `grads`, the same layout.
 
     Elementwise, in the order p -= lr * (m / bc1) / (sqrt(v / bc2) + eps),
@@ -79,22 +78,22 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
         bad = int(np.flatnonzero(~np.isfinite(grads))[0])
         raise NumericError(f"non-finite gradient at flat index {bad}")
     state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     m, v, step = state.m, state.v, state._step
-    m *= beta1
-    np.multiply(1.0 - beta1, grads, out=step)
+    m *= ADAM_BETA1
+    np.multiply(1.0 - ADAM_BETA1, grads, out=step)
     m += step
-    v *= beta2
+    v *= ADAM_BETA2
     np.square(grads, out=step)
-    step *= 1.0 - beta2
+    step *= 1.0 - ADAM_BETA2
     v += step
     # fresh each step: a second scratch array kept for the whole training
     # raised peak RSS and measured no faster
     denom = np.empty_like(v)
     np.divide(v, bc2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += ADAM_EPSILON
     np.divide(m, bc1, out=step)
     step *= lr
     step /= denom
@@ -138,7 +137,7 @@ def train(model: IntegrationModel, sv_store: EmbeddingStore, cm_store: Embedding
     best_epoch = 0
 
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         loss_sum = 0.0
         used = 0
         for start in range(0, n, cfg.batch_size):
@@ -149,8 +148,7 @@ def train(model: IntegrationModel, sv_store: EmbeddingStore, cm_store: Embedding
                                              loss_cfg)
             if not math.isfinite(batch_loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
-            adam_step(adam, params.data, params.grad, cfg.learning_rate,
-                      cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon)
+            adam_step(adam, params.data, params.grad, cfg.learning_rate)
             loss_sum += batch_loss * idx.size
             used += idx.size
         train_loss = loss_sum / used
@@ -206,7 +204,8 @@ def model_to_checkpoint(model: IntegrationModel, train_cfg: TrainConfig,
         "sv_dim": model.sv_dim,
         "cm_dim": model.cm_dim,
         "normalize_embeddings": model.normalize_embeddings,
-        "train": asdict(train_cfg),
+        "train": dict(asdict(train_cfg), adam_beta1=ADAM_BETA1, adam_beta2=ADAM_BETA2,
+                      adam_epsilon=ADAM_EPSILON, shuffle=True),
         "loss": asdict(loss_cfg),
         "best_epoch": best_epoch,
         "best_dev_sasv_eer": best_dev_sasv_eer,

@@ -14,7 +14,9 @@ def test_load_cm_scores(tmp_path):
     path = tmp_path / "cm.tsv"
     path.write_text("# utterance scores\nu1\t0.5\nu2\t-1.25e-1\n")
     table = baselines.load_cm_scores(str(path))
-    assert table == {"u1": 0.5, "u2": -0.125}
+    assert table.kind == "cm" and table.dimension == 1
+    assert table.index == {"u1": 0, "u2": 1}
+    assert table.matrix[:, 0].tolist() == [0.5, -0.125]
 
 
 @pytest.mark.parametrize("line,fragment", [
@@ -58,11 +60,15 @@ def _two_trial_protocol():
 
 
 def test_table_source_lookup_order_and_missing():
-    source = baselines.CmScoreSource.from_table({"u1": 1.0, "u2": -1.0})
+    sv = EmbeddingStore("sv", ["e1", "u1", "u2", "u9"], np.eye(4))
+    # table rows in another order than the trials ask for them
+    source = baselines.CmScoreSource.from_table(
+        sv, EmbeddingStore("cm", ["u2", "u1"], [[-1.0], [1.0]]))
     scores = source.scores_for(_two_trial_protocol())
     assert np.array_equal(scores, [1.0, -1.0])
-    missing = Protocol([Trial("e1", "u9", TrialLabel.TARGET)])
-    with pytest.raises(DataError, match="u9"):
+    missing = Protocol([Trial("e1", "u1", TrialLabel.TARGET),
+                        Trial("e1", "u9", TrialLabel.TARGET)])
+    with pytest.raises(DataError, match="^trial 2: test id 'u9' missing from cm store$"):
         source.scores_for(missing)
 
 

@@ -14,9 +14,12 @@ import zlib
 import numpy as np
 import pytest
 
-from sasv import cli
+from sasv import baselines, cli
 from sasv.checkpoint import Checkpoint, checkpoint_to_bytes, load_checkpoint
+from sasv.core import load_embeddings, load_protocol
 from sasv.metrics import load_scores
+from sasv.model import score_protocol
+from sasv.training import model_from_checkpoint
 
 
 def _run(argv):
@@ -128,6 +131,25 @@ def test_eval_rereport_from_scores_matches(workspace, tmp_path):
     # the exported CSV carries full precision, so the report reproduces exactly
     assert filecmp.cmp(first / "eer_report.csv", again / "eer_report.csv",
                        shallow=False)
+
+
+def test_eval_rereport_refuses_the_inputs_it_would_ignore(workspace, tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    assert _run(["eval", "--model", str(workspace["model"]),
+                 "--sv-emb", str(workspace["data"] / "sv_embeddings.tsv"),
+                 "--cm-emb", str(workspace["data"] / "cm_embeddings.tsv"),
+                 "--eval-protocol", str(workspace["data"] / "eval_protocol.tsv"),
+                 "--out", str(tmp_path)]) == 0
+    nowhere = str(tmp_path / "nonexistent")
+    for extra, named in ((["--model", nowhere], "--model"),
+                         (["--sv-emb", nowhere, "--eval-protocol", nowhere],
+                          "--sv-emb, --eval-protocol"),
+                         (["--cm-emb", nowhere], "--cm-emb")):
+        capsys.readouterr()
+        assert _run(["eval", "--scores", str(scores), *extra,
+                     "--out", str(tmp_path / "e")]) == 1, extra
+        assert capsys.readouterr().err.endswith(f"it takes no {named}\n")
+    assert not (tmp_path / "e").exists()
 
 
 def test_score_matches_eval_scores(workspace, tmp_path):
@@ -344,16 +366,57 @@ def test_checkpoint_dims_that_disagree_with_its_arrays_exit_2(workspace, tmp_pat
         assert "does not match its array 'bn.gamma'" in capsys.readouterr().err
 
 
-def test_normalization_contradiction_exits_2(workspace, tmp_path):
+@pytest.mark.parametrize("value", ["on", "off"])
+def test_normalize_flag_outside_train_exits_1(workspace, tmp_path, value):
+    # the checkpoint records normalization, so only train takes the flag
     data, model = workspace["data"], workspace["model"]
     stores = ["--sv-emb", str(data / "sv_embeddings.tsv"),
               "--cm-emb", str(data / "cm_embeddings.tsv"),
               "--eval-protocol", str(data / "eval_protocol.tsv"),
-              "--normalize-embeddings", "on"]  # checkpoint was trained with off
+              "--normalize-embeddings", value]
     for i, command in enumerate((["eval", "--model", str(model)],
                                  ["score", "--model", str(model)],
                                  ["baseline", "--kind", "sum", "--cm-model", str(model)])):
-        assert _run(command + stores + ["--out", str(tmp_path / f"x{i}")]) == 2, command[0]
+        assert _run(command + stores + ["--out", str(tmp_path / f"x{i}")]) == 1, command[0]
+
+
+def _columns(records):
+    return [np.array([getattr(r, f) for r in records]).tobytes()
+            for f in ("s_sv", "s_spf", "s_sasv")]
+
+
+def test_normalized_checkpoint_scores_normalized_embeddings(workspace, tmp_path):
+    data = workspace["data"]
+    sv_path, cm_path = str(data / "sv_embeddings.tsv"), str(data / "cm_embeddings.tsv")
+    eval_path = str(data / "eval_protocol.tsv")
+    model_path = tmp_path / "run" / "model.ckpt"
+    assert _run(["train", "--sv-emb", sv_path, "--cm-emb", cm_path,
+                 "--train-protocol", str(data / "train_protocol.tsv"),
+                 "--dev-protocol", str(data / "dev_protocol.tsv"),
+                 "--normalize-embeddings", "on", "--epochs", "2",
+                 "--out", str(tmp_path / "run")]) == 0
+    stores = ["--sv-emb", sv_path, "--cm-emb", cm_path, "--eval-protocol", eval_path]
+    assert _run(["score", "--model", str(model_path), *stores,
+                 "--out", str(tmp_path / "sc")]) == 0
+    assert _run(["baseline", "--kind", "sum", "--cm-model", str(model_path), *stores,
+                 "--out", str(tmp_path / "bl")]) == 0
+
+    model = model_from_checkpoint(load_checkpoint(str(model_path)))
+    assert model.normalize_embeddings
+    protocol = load_protocol(eval_path, "eval")
+    sv = load_embeddings(sv_path, "sv", normalize=True)
+    cm = load_embeddings(cm_path, "cm", normalize=True)
+    want = score_protocol(model, protocol, sv, cm)
+    assert _columns(load_scores(str(tmp_path / "sc" / "scores.csv"))) == _columns(want)
+    baseline = _columns(load_scores(str(tmp_path / "bl" / "scores.csv")))
+    s_sv = baselines.sv_scores_for(protocol, sv)
+    s_cm = baselines.CmScoreSource.from_model(model, sv, cm).scores_for(protocol)
+    assert baseline == [s_sv.tobytes(), s_cm.tobytes(),
+                        baselines.sum_fusion(s_sv, s_cm).tobytes()]
+    # the stores as loaded without normalization would score otherwise
+    raw = score_protocol(model, protocol, load_embeddings(sv_path, "sv"),
+                         load_embeddings(cm_path, "cm"))
+    assert _columns(raw)[1] != _columns(want)[1]
 
 
 def test_store_dims_that_disagree_with_the_checkpoint_exit_2(workspace, tmp_path,

@@ -17,7 +17,7 @@ def test_relative_error_uses_guarded_denominator():
 
 def test_away_from_kink_clears_the_corner():
     x = np.array([-2.0, -1e-6, 0.0, 1e-6, 2.0])
-    out = gradcheck._away_from_kink(x, margin=1e-3)
+    out = gradcheck._away_from_kink(x)  # KINK_MARGIN is 1e-3
     assert np.array_equal(out, [-2.0, 1e-3, 1e-3, 1e-3, 2.0])
     assert np.all(np.abs(out) >= 1e-3)
 

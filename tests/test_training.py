@@ -25,7 +25,7 @@ def test_adam_first_step_formula():
     g = np.array([0.5, 2.0, -0.1])
     params = p.copy()
     state = AdamState(params)
-    adam_step(state, params, g, lr, beta1, beta2, eps)
+    adam_step(state, params, g, lr)
     # after one step the bias corrections cancel the decay exactly
     m_hat = (1 - beta1) * g / (1 - beta1)
     v_hat = (1 - beta2) * g**2 / (1 - beta2)
@@ -46,7 +46,7 @@ def test_adam_matches_pure_python_reference():
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * g * g
         x_ref -= lr * (m / (1 - beta1**t)) / (math.sqrt(v / (1 - beta2**t)) + eps)
-        adam_step(state, params, np.array(float(params)), lr, beta1, beta2, eps)
+        adam_step(state, params, np.array(float(params)), lr)
     assert abs(float(params) - x_ref) < 1e-12
     assert abs(x_ref) < 3.0  # it actually descended
 
@@ -240,6 +240,15 @@ def test_model_checkpoint_round_trip(tiny_dataset, tiny_trained):
     r_orig = score_protocol(tiny_trained.model, eval_protocol, ds.sv_store, ds.cm_store)
     r_revived = score_protocol(revived, eval_protocol, ds.sv_store, ds.cm_store)
     assert r_orig == r_revived
+
+
+def test_checkpoint_records_the_training_constants(tiny_trained):
+    ckpt = model_to_checkpoint(tiny_trained.model, TrainConfig(epochs=2, seed=3),
+                               OneClassSoftmaxConfig(), 1, 0.5)
+    assert ckpt.meta["train"] == {
+        "learning_rate": 1e-4, "batch_size": 24, "epochs": 2, "seed": 3,
+        "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_epsilon": 1e-8, "shuffle": True,
+    }
 
 
 def test_corrupted_checkpoint_is_rejected(tiny_trained):
