@@ -47,6 +47,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _int_from(least: int):
+    """An argparse type: an integer of at least `least`, else a usage error
+    (argparse names a value `int` refuses an "invalid integer value")."""
+    def integer(text: str) -> int:
+        if (value := int(text)) < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {value}")
+        return value
+    return integer
+
+
 def _write_sidecar(out_dir: str, command: str, args: argparse.Namespace) -> None:
     os.makedirs(out_dir, exist_ok=True)
     config = {k: v for k, v in vars(args).items() if k != "func"}
@@ -256,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      parser_class=_Parser)
 
     synth = commands.add_parser("synth", help="generate a synthetic benchmark")
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=_int_from(0), default=0)
     synth.add_argument("--out", required=True)
     synth.add_argument("--speakers", type=int, default=30)
     synth.add_argument("--utts", type=int, default=10)
@@ -276,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--mode", default="concat",
                     choices=[m.value for m in InputMode])
     tr.add_argument("--normalize-embeddings", choices=["on", "off"], default="off")
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--seed", type=_int_from(0), default=0)
     tr.add_argument("--lr", type=float, default=1e-4)
     tr.add_argument("--batch", type=int, default=24)
     tr.add_argument("--epochs", type=int, default=40)
@@ -319,10 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     bl.set_defaults(func=cmd_baseline)
 
     gc = commands.add_parser("gradcheck", help="finite-difference gradient audit")
-    gc.add_argument("--seed", type=int, default=0)
-    gc.add_argument("--seeds", type=int, default=10,
+    gc.add_argument("--seed", type=_int_from(0), default=0)
+    gc.add_argument("--seeds", type=_int_from(1), default=10,
                     help="number of consecutive seeds to sweep")
-    gc.add_argument("--coords", type=int, default=48,
+    gc.add_argument("--coords", type=_int_from(1), default=gradcheck.COMPOSITE_COORDS,
                     help="sampled coordinates per parameter in the composite check")
     gc.add_argument("--exhaustive", action="store_true",
                     help="check every coordinate of the composite (slow)")

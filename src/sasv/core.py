@@ -7,6 +7,7 @@ File formats are plain UTF-8 text with LF line endings:
 
 from __future__ import annotations
 
+import math
 import re
 from array import array
 from dataclasses import dataclass
@@ -189,14 +190,12 @@ def length_normalize_rows(rows: np.ndarray) -> np.ndarray:
     scaled as by `_pow2_scaled_rows`, then divided by the square root of each
     row's `x @ x` (`np.vecdot` runs the same BLAS dot per row, so a row gets
     the bits `length_normalize` gives it alone). A zero-norm or non-finite row
-    is an error, not an epsilon, whose `row` names the first such row."""
+    is an error, not an epsilon."""
     scaled = _pow2_scaled_rows(np.asarray(rows, dtype=np.float64))
     with np.errstate(over="ignore"):  # only a non-finite row can overflow
         norms = np.sqrt(np.vecdot(scaled, scaled))
-    fine = (norms > 0.0) & (norms < np.inf)
-    if not fine.all():
-        raise NumericError("cannot length-normalize a zero-norm or non-finite vector",
-                           int(np.argmin(fine)))
+    if not np.all((norms > 0.0) & (norms < np.inf)):
+        raise NumericError("cannot length-normalize a zero-norm or non-finite vector")
     return scaled / norms[:, None]
 
 
@@ -252,75 +251,61 @@ def _data_lines(path: str):
             raise DataError(f"{path}: not UTF-8 text") from None
 
 
+_NORMALIZE_BLOCK = 1024  # rows per in-place normalization: its copies stay small
+
+
 def load_embeddings(path: str, kind: str, normalize: bool = False) -> EmbeddingStore:
     """Parse an embedding file of ID<TAB>values lines, the values space-separated
     floats as many as on the first line, into a store built once from all of
-    its rows. Errors carry the line number of the first faulty line, and a
-    width fault also the line the width came from; a bad kind is refused
-    before the file is opened."""
+    its rows. Each line is checked in full as it is read: syntax, a non-finite
+    value, a zero norm under `normalize` (a NumericError), a repeated id, the
+    width. An error names the first faulty line and its first fault, a width
+    fault also the line the width came from; a bad kind is refused first."""
     _check_kind(kind)
-    ids, linenos, values, width = [], array("q"), array("d"), 0
+    # No line is checked against the rest of the store's id rule: a parsed
+    # line cannot hold a line break (text mode splits lines at CR and LF), a
+    # tab (the split removes it) or a surrogate (UTF-8 is decoded strictly),
+    # nor start with '#' after whitespace (`_data_lines` skips such lines),
+    # and an empty id is a fault of its own.
+    index, values, width, width_line = {}, array("d"), 0, 0
     for lineno, line in _data_lines(path):
-        row = None
         parts = line.split("\t")
         if len(parts) != 2:
             fault = "malformed embedding line, expected ID<TAB>values"
-        elif not parts[0]:
+        elif not (utt_id := parts[0]):
             fault = "empty embedding id"
         elif not (fields := parts[1].split()):
             fault = "embedding has no values"
         else:
             try:
-                row = [float(f) for f in fields]
+                row = list(map(float, fields))
             except ValueError as exc:
                 fault = f"bad float in embedding: {exc}"
             else:
-                width = width or len(row)
-                if len(row) == width:
-                    ids.append(parts[0])
-                    linenos.append(lineno)
+                if not all(map(math.isfinite, row)):
+                    fault = f"embedding {utt_id!r} contains a non-finite value"
+                elif normalize and not any(row):
+                    raise NumericError(f"{path}:{lineno}: cannot length-normalize a "
+                                       "zero-norm or non-finite vector")
+                elif utt_id in index:
+                    fault = f"duplicate embedding id {utt_id!r} in {kind} store"
+                elif index and len(row) != width:
+                    fault = (f"embedding {utt_id!r} has dimension {len(row)}, store "
+                             f"expects {width} (the width of line {width_line})")
+                else:
+                    width, width_line = width or len(row), width_line or lineno
+                    index[utt_id] = len(index)
                     values.fromlist(row)
                     continue
-                fault = (f"embedding {parts[0]!r} has dimension {len(row)}, store expects "
-                         f"{width} (the width of line {linenos[0]})")
-        # the first faulty line decides: the rows before this line come first,
-        # then the faults that a row of the wrong width shows before its width
-        if ids:
-            _build_store(path, kind, ids, values, width, linenos, normalize)
-        if row is not None:
-            _build_store(path, kind, [parts[0]], array("d", row), len(row), [lineno],
-                         normalize)
         raise DataError(f"{path}:{lineno}: {fault}")
-    if not ids:
+    if not index:
         raise DataError(f"{path}: no embeddings found")
-    return _build_store(path, kind, ids, values, width, linenos, normalize)
-
-
-_NORMALIZE_BLOCK = 1024  # rows per in-place normalization: its copies stay small
-
-
-def _build_store(path: str, kind: str, ids: list[str], values: array, width: int,
-                 linenos, normalize: bool) -> EmbeddingStore:
-    """The store of the parsed values, normalized in place when asked, read-only
-    so it takes them without a copy. A fault names its row's line; a zero norm
-    yields to an earlier row's fault or to a non-finite value in its own row."""
     rows = np.frombuffer(values).reshape(-1, width)
-    try:
-        for lo in range(0, len(rows) if normalize else 0, _NORMALIZE_BLOCK):
-            block = rows[lo:lo + _NORMALIZE_BLOCK]
-            try:
-                block[:] = length_normalize_rows(block)
-            except NumericError as exc:
-                row = lo + exc.row
-                upto = row + (not np.isfinite(rows[row]).all())
-                raise (next(_row_faults(kind, ids[:upto], rows[:upto]), None)
-                       or NumericError(str(exc), row))
-        rows.flags.writeable = False
-        return EmbeddingStore(kind, ids, rows)
-    except (DataError, NumericError) as exc:
-        if exc.row is None:
-            raise
-        raise type(exc)(f"{path}:{linenos[exc.row]}: {exc}") from None
+    for lo in range(0, len(rows) if normalize else 0, _NORMALIZE_BLOCK):
+        block = rows[lo:lo + _NORMALIZE_BLOCK]
+        block[:] = length_normalize_rows(block)
+    rows.flags.writeable = False  # so the store takes the parsed values without a copy
+    return EmbeddingStore(kind, index, rows)
 
 
 def save_embeddings(store: EmbeddingStore, path: str) -> None:

@@ -21,6 +21,7 @@ KINK_MARGIN = 1e-3  # a layer check's inputs sit this far from the leaky-relu co
 COMPOSITE_KINK_MARGIN = 1e-4  # and the composite check's pre-activations this far
 COMPOSITE_SV_DIM = COMPOSITE_CM_DIM = 8
 COMPOSITE_BATCH = 6
+COMPOSITE_COORDS = 48  # coordinates sampled per parameter of the composite by default
 COMPONENTS = ("linear", "batch_norm", "leaky_relu", "cosine_head", "composite")
 
 
@@ -128,7 +129,7 @@ def _composite_inputs(model: IntegrationModel, rng: np.random.Generator):
     raise RuntimeError("could not draw kink-free composite inputs")
 
 
-def check_composite(seed: int, coords_per_param: int | None = 48) -> float:
+def check_composite(seed: int, coords_per_param: int | None = COMPOSITE_COORDS) -> float:
     """Full integration model plus the one-class loss, every parameter checked
     (sampled coordinates by default; the real 256/128/64 stack is ~50k params).
     The analytic gradients come from IntegrationModel.training_loss, the step
@@ -150,7 +151,8 @@ def check_composite(seed: int, coords_per_param: int | None = 48) -> float:
                            coords_per_param=coords_per_param, rng=rng)
 
 
-def run_gradient_checks(seeds=range(10), coords_per_param: int | None = 48) -> dict[str, float]:
+def run_gradient_checks(seeds=range(10),
+                        coords_per_param: int | None = COMPOSITE_COORDS) -> dict[str, float]:
     """Worst relative error per component across the given seeds."""
     checks = {
         "linear": check_linear,

@@ -274,6 +274,32 @@ def test_gradcheck_runs_and_reports(tmp_path, capsys):
     assert "composite" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command,flags,refused", [
+    ("synth", ["--seed", "-1"], "--seed: expected an integer >= 0, got -1"),
+    ("train", ["--seed", "-1"], "--seed: expected an integer >= 0, got -1"),
+    ("gradcheck", ["--seed", "-1"], "--seed: expected an integer >= 0, got -1"),
+    ("gradcheck", ["--seeds", "0"], "--seeds: expected an integer >= 1, got 0"),
+    ("gradcheck", ["--seeds", "-2"], "--seeds: expected an integer >= 1, got -2"),
+    ("gradcheck", ["--seeds", "1", "--coords", "0"],
+     "--coords: expected an integer >= 1, got 0"),
+    ("gradcheck", ["--seeds", "1", "--coords", "-1"],
+     "--coords: expected an integer >= 1, got -1"),
+])
+def test_a_negative_seed_or_an_empty_gradient_audit_exits_1(workspace, tmp_path, capsys,
+                                                            command, flags, refused):
+    data = workspace["data"]
+    inputs = ["--sv-emb", str(data / "sv_embeddings.tsv"),
+              "--cm-emb", str(data / "cm_embeddings.tsv"),
+              "--train-protocol", str(data / "train_protocol.tsv"),
+              "--dev-protocol", str(data / "dev_protocol.tsv")] if command == "train" else []
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert _run([command, *inputs, *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"sasv {command}: error: argument {refused}\n")
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_usage_errors_exit_1(workspace, tmp_path):
     assert _run(["not-a-command"]) == 1
     assert _run([]) == 1

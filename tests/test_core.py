@@ -335,6 +335,19 @@ def test_load_embeddings_reports_the_first_faulty_line(tmp_path):
         load_embeddings(str(path), "sv")
 
 
+@pytest.mark.parametrize("second,fault", [
+    ("a\t1 2 3", "duplicate embedding id 'a' in sv store"),   # not its width
+    ("a\tnan 2", "embedding 'a' contains a non-finite value"),  # not its repeated id
+])
+def test_load_embeddings_reports_a_lines_first_fault_in_the_reference_order(tmp_path, second,
+                                                                           fault):
+    path = tmp_path / "emb.tsv"
+    path.write_text(f"a\t1 2\n{second}\n")
+    with pytest.raises(DataError) as exc:
+        load_embeddings(str(path), "sv")
+    assert str(exc.value) == f"{path}:2: {fault}"
+
+
 def test_load_embeddings_names_the_line_of_a_zero_norm_row(tmp_path):
     path = tmp_path / "emb.tsv"
     path.write_text("# comment\nok\t1.0 2.0\nz\t0.0 -0.0\n")
