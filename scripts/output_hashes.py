@@ -20,9 +20,11 @@ runs, in a temporary directory and against the `sasv` package under --src
   made of the first value of each row of the CM embedding file;
 - `gradcheck --seeds 3`;
 
-then prints `sha256  path` for each file written, by relative path, except
-`run_config.json` (it records the temporary paths). Two source trees that
-print the same lines produce the same outputs byte for byte.
+so the hashes cover every CSV writer: `scores.csv`, `eer_report.csv`,
+`history.csv` and `gradcheck_report.csv`. It then prints `sha256  path` for
+each file written, by relative path, except `run_config.json` (it records the
+temporary paths). Two source trees that print the same lines produce the same
+outputs byte for byte.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .core import (DataError, EmbeddingStore, NumericError, Protocol, ScoreRecord,
                    TrialLabel, _data_lines, check_protocol_ids, load_embeddings,
-                   sv_scores)
+                   sv_scores, target_mask)
 from .loss import sigmoid
 from .metrics import eer, eer_at_crossing
 from .model import IntegrationModel, spoof_scores_for
@@ -94,9 +94,7 @@ def fit_cascade(s_sv, s_cm, labels: list[TrialLabel]) -> float:
     """
     s_sv = np.asarray(s_sv, dtype=np.float64)
     s_cm = np.asarray(s_cm, dtype=np.float64)
-    is_target = np.array([lab is TrialLabel.TARGET for lab in labels])
-    if not is_target.any() or is_target.all():
-        raise DataError("cascade fitting needs target and nontarget/spoof trials")
+    is_target = target_mask(labels, "cascade fitting")
     if not (np.all(np.isfinite(s_sv)) and np.all(np.isfinite(s_cm))):
         raise NumericError("non-finite score passed to fit_cascade")
     distinct, group = np.unique(s_cm, return_inverse=True)
@@ -197,9 +195,7 @@ def fit_logreg(s_sv, s_cm, labels: list[TrialLabel]) -> LogisticFusion:
     """
     s_sv = np.asarray(s_sv, dtype=np.float64)
     s_cm = np.asarray(s_cm, dtype=np.float64)
-    y = np.array([1.0 if lab is TrialLabel.TARGET else 0.0 for lab in labels])
-    if y.min() == y.max():
-        raise DataError("logreg fitting needs target and nontarget/spoof trials")
+    y = target_mask(labels, "logreg fitting").astype(np.float64)
     params = np.zeros(3)  # [w_sv, w_cm, bias]
     grads = np.empty(3)
     adam = AdamState(params)

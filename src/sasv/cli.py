@@ -3,7 +3,10 @@
 Subcommands: synth, train, eval, score, baseline, gradcheck. Exit codes:
 0 success, 1 usage, 2 data validation, 3 numeric failure. Every run writes
 its resolved configuration to <out>/run_config.json; outputs only ever land
-under --out. The SASV_LOG env var (error|warn|info|debug) sets verbosity.
+under --out. The options of synth and train are the fields of SynthConfig,
+TrainConfig and OneClassSoftmaxConfig, which alone set their defaults and
+ranges; a value a config refuses is a usage error. The SASV_LOG env var
+(error|warn|info|debug) sets verbosity.
 eval, score and baseline --cm-model load the embeddings as their checkpoint
 was trained (train --normalize-embeddings); baseline --cm-scores never normalizes.
 """
@@ -11,11 +14,12 @@ was trained (train --normalize-embeddings); baseline --cm-scores never normalize
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import logging
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -71,20 +75,37 @@ def _require(condition: bool, message: str) -> None:
         raise UsageError(message)
 
 
+# the options not named after their config field
+_FLAGS = {"n_speakers": "--speakers", "utts_per_speaker": "--utts",
+          "spoofs_per_speaker": "--spoofs", "learning_rate": "--lr",
+          "batch_size": "--batch", "scale": "--loss-scale"}
+
+
+def _flag(field: dataclasses.Field) -> str:
+    return _FLAGS.get(field.name, "--" + field.name.replace("_", "-"))
+
+
+def _add_config_flags(sub, config_cls) -> None:
+    """One option per field of `config_cls`, of the field's type and default."""
+    types = typing.get_type_hints(config_cls)
+    for field in dataclasses.fields(config_cls):
+        sub.add_argument(_flag(field), type=types[field.name], default=field.default,
+                         help=f"{config_cls.__name__}.{field.name} (default %(default)s)")
+
+
+def _config_from(config_cls, args):
+    """The config of the options `_add_config_flags` added; a value the
+    config refuses is a usage error."""
+    try:
+        return config_cls(**{
+            field.name: getattr(args, _flag(field)[2:].replace("-", "_"))
+            for field in dataclasses.fields(config_cls)})
+    except DataError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def cmd_synth(args) -> int:
-    cfg = SynthConfig(
-        n_speakers=args.speakers,
-        utts_per_speaker=args.utts,
-        spoofs_per_speaker=args.spoofs,
-        sv_dim=args.sv_dim,
-        cm_dim=args.cm_dim,
-        sv_noise=args.sv_noise,
-        spoof_sv_offset=args.spoof_sv_offset,
-        cm_separation=args.cm_separation,
-        cm_noise=args.cm_noise,
-        seed=args.seed,
-    )
-    ds = synthgen.generate(cfg)
+    ds = synthgen.generate(_config_from(SynthConfig, args))
     paths = synthgen.write_dataset(ds, args.out)
     _write_sidecar(args.out, "synth", args)
     for split in synthgen.SPLIT_NAMES:
@@ -103,16 +124,12 @@ def _load_stores(sv_path: str, cm_path: str, normalize: bool):
 
 
 def cmd_train(args) -> int:
+    cfg = _config_from(training.TrainConfig, args)
+    loss_cfg = _config_from(OneClassSoftmaxConfig, args)
     normalize = args.normalize_embeddings == "on"
     sv_store, cm_store = _load_stores(args.sv_emb, args.cm_emb, normalize)
     train_protocol = load_protocol(args.train_protocol, "train")
     dev_protocol = load_protocol(args.dev_protocol, "dev")
-    cfg = training.TrainConfig(learning_rate=args.lr, batch_size=args.batch,
-                               epochs=args.epochs, seed=args.seed)
-    loss_cfg = OneClassSoftmaxConfig(
-        scale=args.loss_scale, margin_real=args.margin_real,
-        margin_fake=args.margin_fake,
-    )
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     model = IntegrationModel(
         InputMode(args.mode), sv_store.dimension, cm_store.dimension,
@@ -236,12 +253,9 @@ def cmd_gradcheck(args) -> int:
     coords = None if args.exhaustive else args.coords
     results = gradcheck.run_gradient_checks(seeds=seeds, coords_per_param=coords)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "gradcheck_report.csv"), "w",
-              encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["component", "max_rel_err"])
-        for name in gradcheck.COMPONENTS:
-            writer.writerow([name, f"{results[name]:.17g}"])
+    metrics.write_csv(os.path.join(args.out, "gradcheck_report.csv"),
+                      ["component", "max_rel_err"],
+                      ([name, results[name]] for name in gradcheck.COMPONENTS))
     _write_sidecar(args.out, "gradcheck", args)
     for name in gradcheck.COMPONENTS:
         print(f"{name:<12} max rel err {results[name]:.3e}")
@@ -266,17 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      parser_class=_Parser)
 
     synth = commands.add_parser("synth", help="generate a synthetic benchmark")
-    synth.add_argument("--seed", type=_int_from(0), default=0)
     synth.add_argument("--out", required=True)
-    synth.add_argument("--speakers", type=int, default=30)
-    synth.add_argument("--utts", type=int, default=10)
-    synth.add_argument("--spoofs", type=int, default=10)
-    synth.add_argument("--sv-dim", type=int, default=16)
-    synth.add_argument("--cm-dim", type=int, default=16)
-    synth.add_argument("--sv-noise", type=float, default=0.1)
-    synth.add_argument("--spoof-sv-offset", type=float, default=0.0)
-    synth.add_argument("--cm-separation", type=float, default=4.0)
-    synth.add_argument("--cm-noise", type=float, default=0.5)
+    _add_config_flags(synth, SynthConfig)
     synth.set_defaults(func=cmd_synth)
 
     tr = commands.add_parser("train", help="train the score-integration model")
@@ -286,13 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--mode", default="concat",
                     choices=[m.value for m in InputMode])
     tr.add_argument("--normalize-embeddings", choices=["on", "off"], default="off")
-    tr.add_argument("--seed", type=_int_from(0), default=0)
-    tr.add_argument("--lr", type=float, default=1e-4)
-    tr.add_argument("--batch", type=int, default=24)
-    tr.add_argument("--epochs", type=int, default=40)
-    tr.add_argument("--loss-scale", type=float, default=20.0)
-    tr.add_argument("--margin-real", type=float, default=0.9)
-    tr.add_argument("--margin-fake", type=float, default=0.2)
+    _add_config_flags(tr, training.TrainConfig)
+    _add_config_flags(tr, OneClassSoftmaxConfig)
     tr.add_argument("--out", required=True)
     tr.set_defaults(func=cmd_train)
 

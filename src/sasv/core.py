@@ -38,11 +38,6 @@ class TrialLabel(Enum):
     NONTARGET = "nontarget"
     SPOOF = "spoof"
 
-    @property
-    def z(self) -> int:
-        # class index for the one-class loss: 0 = genuine target, 1 = everything else
-        return 0 if self is TrialLabel.TARGET else 1
-
     @classmethod
     def parse(cls, text: str) -> "TrialLabel":
         try:
@@ -54,6 +49,15 @@ class TrialLabel(Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+def target_mask(labels, role: str) -> np.ndarray:
+    """Which of the labels are TARGET; `role` names them in the DataError
+    raised unless they hold a target and a nontarget or spoof."""
+    mask = np.array([lab is TrialLabel.TARGET for lab in labels], dtype=bool)
+    if mask.all() or not mask.any():
+        raise DataError(f"{role} needs at least one target and one nontarget/spoof trial")
+    return mask
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ by the hundreds stay exact instead of overflowing exp.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,11 @@ class OneClassSoftmaxConfig:
     margin_fake: float = 0.2
 
     def __post_init__(self):
-        if not self.scale > 0.0:
-            raise DataError(f"loss scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale < math.inf:
+            raise DataError(f"loss scale must be positive and finite, got {self.scale}")
+        if not all(-math.inf < m < math.inf for m in (self.margin_real, self.margin_fake)):
+            raise DataError(f"loss margins must be finite, got margin_real "
+                            f"{self.margin_real} and margin_fake {self.margin_fake}")
 
 
 def softplus(a: np.ndarray) -> np.ndarray:

@@ -35,6 +35,10 @@ class EerReport:
     spf: EerResult | None
     sasv: EerResult
 
+    def named(self) -> tuple[tuple[str, EerResult | None], ...]:
+        """(name, result) of each EER, in report order."""
+        return (("SV-EER", self.sv), ("SPF-EER", self.spf), ("SASV-EER", self.sasv))
+
 
 def eer(positive_scores, negative_scores) -> EerResult:
     """Equal error rate of positives against negatives.
@@ -115,20 +119,21 @@ def sasv_report(records: list[ScoreRecord], score_field: str = "s_sasv") -> EerR
     return EerReport(sv=sv, spf=sp, sasv=sasv)
 
 
-def export_scores(records: list[ScoreRecord], path: str) -> None:
-    """Write score records as CSV with enough digits to round-trip bit-exactly."""
+def write_csv(path: str, header, rows) -> None:
+    """Write a UTF-8 CSV with LF line ends: each float as `.17g`, enough
+    digits to round-trip bit-exactly, and None as an empty field."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SCORE_CSV_HEADER)
-        for r in records:
-            writer.writerow([
-                r.trial.enroll_id,
-                r.trial.test_id,
-                str(r.trial.label),
-                f"{r.s_sv:.17g}",
-                f"{r.s_spf:.17g}",
-                f"{r.s_sasv:.17g}",
-            ])
+        writer.writerow(header)
+        for row in rows:  # csv itself writes None as ""
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+
+
+def export_scores(records: list[ScoreRecord], path: str) -> None:
+    """Write score records as CSV, every score bit-exact."""
+    write_csv(path, SCORE_CSV_HEADER,
+              ([r.trial.enroll_id, r.trial.test_id, str(r.trial.label),
+                r.s_sv, r.s_spf, r.s_sasv] for r in records))
 
 
 def load_scores(path: str) -> list[ScoreRecord]:
@@ -162,20 +167,14 @@ def load_scores(path: str) -> list[ScoreRecord]:
 def write_eer_report(report: EerReport, path: str) -> None:
     """CSV form of the report; eer_percent is kept at full precision, display
     rounding happens only in format_eer_report."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EER_CSV_HEADER)
-        for name, result in (("SV-EER", report.sv), ("SPF-EER", report.spf),
-                             ("SASV-EER", report.sasv)):
-            if result is not None:
-                writer.writerow([name, f"{result.eer * 100.0:.17g}",
-                                 f"{result.threshold:.17g}"])
+    write_csv(path, EER_CSV_HEADER,
+              ([name, result.eer * 100.0, result.threshold]
+               for name, result in report.named() if result is not None))
 
 
 def format_eer_report(report: EerReport) -> str:
     lines = [f"{'metric':<10} {'eer%':>8} {'threshold':>12}"]
-    for name, result in (("SV-EER", report.sv), ("SPF-EER", report.spf),
-                         ("SASV-EER", report.sasv)):
+    for name, result in report.named():
         if result is None:
             lines.append(f"{name:<10} {'n/a':>8} {'n/a':>12}")
         else:

@@ -21,6 +21,7 @@ draw per utterance would.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -53,10 +54,15 @@ class SynthConfig:
             raise DataError("utterance counts must be >= 1")
         if self.sv_dim < 2 or self.cm_dim < 1:
             raise DataError("sv_dim must be >= 2 and cm_dim >= 1")
-        if min(self.sv_noise, self.cm_noise, self.cm_separation) < 0.0:
-            raise DataError("noise and separation parameters must be non-negative")
-        if self.spoof_sv_offset < 0.0:
-            raise DataError("spoof_sv_offset must be non-negative")
+        # a comparison, not math.isfinite: NaN fails it, and an int too large
+        # for a float is compared exactly rather than overflowing
+        if not all(0.0 <= v < math.inf
+                   for v in (self.sv_noise, self.cm_noise, self.cm_separation)):
+            raise DataError("noise and separation parameters must be finite and non-negative")
+        if not 0.0 <= self.spoof_sv_offset < math.inf:
+            raise DataError("spoof_sv_offset must be finite and non-negative")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -9,23 +9,20 @@ are frozen.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .core import (DataError, EmbeddingStore, NumericError, Protocol, TrialLabel,
-                   check_protocol_ids, sv_scores)
+from .core import (DataError, EmbeddingStore, NumericError, Protocol,
+                   check_protocol_ids, sv_scores, target_mask)
 from .loss import OneClassSoftmaxConfig
-from .metrics import sasv_report
+from .metrics import sasv_report, write_csv
 from .model import HIDDEN_SIZES, InputMode, IntegrationModel, score_protocol
 
 log = logging.getLogger(__name__)
-
-HISTORY_CSV_HEADER = ["epoch", "train_loss", "dev_sv_eer", "dev_spf_eer", "dev_sasv_eer"]
 
 ADAM_BETA1 = 0.9  # Adam's defaults (Kingma & Ba, arXiv:1412.6980)
 ADAM_BETA2 = 0.999
@@ -39,9 +36,21 @@ class TrainConfig:
     epochs: int = 40
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise DataError("epochs must be >= 1")
+        if self.batch_size < 2:
+            raise DataError("batch size must be >= 2 (batch norm needs batch statistics)")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise DataError("learning rate must be finite and non-negative")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
+
 
 @dataclass
 class EpochStats:
+    """One row of history.csv: the fields are its columns, in order."""
+
     epoch: int
     train_loss: float
     dev_sv_eer: float | None
@@ -100,33 +109,18 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
     params -= step
 
 
-def _require_classes(protocol: Protocol, role: str) -> None:
-    n_target = protocol.counts()[TrialLabel.TARGET]
-    n_other = len(protocol) - n_target
-    if n_target == 0 or n_other == 0:
-        raise DataError(
-            f"{role} protocol needs at least one target and one nontarget/spoof trial"
-        )
-
-
 def train(model: IntegrationModel, sv_store: EmbeddingStore, cm_store: EmbeddingStore,
           train_protocol: Protocol, dev_protocol: Protocol, cfg: TrainConfig,
           loss_cfg: OneClassSoftmaxConfig) -> TrainResult:
-    if cfg.epochs < 1:
-        raise DataError("epochs must be >= 1")
-    if cfg.batch_size < 2:
-        raise DataError("batch size must be >= 2 (batch norm needs batch statistics)")
-    if cfg.learning_rate < 0.0:
-        raise DataError("learning rate must be non-negative")
-    _require_classes(train_protocol, "train")
-    _require_classes(dev_protocol, "dev")
+    is_target = target_mask([t.label for t in train_protocol.trials], "train protocol")
+    target_mask([t.label for t in dev_protocol.trials], "dev protocol")
     rows = check_protocol_ids(train_protocol, sv_store, cm_store)
     check_protocol_ids(dev_protocol, sv_store, cm_store)
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     x_all = model.assemble_batch(rows, sv_store, cm_store)
     s_sv_all = sv_scores(rows, sv_store)
-    z_all = np.array([t.label.z for t in train_protocol.trials])
+    z_all = (~is_target).astype(np.int64)  # the loss's class index: 0 = target
     n = len(train_protocol)
 
     params = model.params
@@ -183,17 +177,7 @@ def train(model: IntegrationModel, sv_store: EmbeddingStore, cm_store: Embedding
 
 
 def write_history(history: list[EpochStats], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(HISTORY_CSV_HEADER)
-        for row in history:
-            writer.writerow([
-                row.epoch,
-                f"{row.train_loss:.17g}",
-                "" if row.dev_sv_eer is None else f"{row.dev_sv_eer:.17g}",
-                "" if row.dev_spf_eer is None else f"{row.dev_spf_eer:.17g}",
-                f"{row.dev_sasv_eer:.17g}",
-            ])
+    write_csv(path, [field.name for field in fields(EpochStats)], map(astuple, history))
 
 
 def model_to_checkpoint(model: IntegrationModel, train_cfg: TrainConfig,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import filecmp
 import json
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -275,8 +276,9 @@ def test_gradcheck_runs_and_reports(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,flags,refused", [
-    ("synth", ["--seed", "-1"], "--seed: expected an integer >= 0, got -1"),
-    ("train", ["--seed", "-1"], "--seed: expected an integer >= 0, got -1"),
+    ("gradcheck", ["--seed", "-99999999999999999999"],
+     "--seed: expected an integer >= 0, got -99999999999999999999"),
+    ("gradcheck", ["--seeds", "2.5"], "--seeds: invalid integer value: '2.5'"),
     ("gradcheck", ["--seed", "-1"], "--seed: expected an integer >= 0, got -1"),
     ("gradcheck", ["--seeds", "0"], "--seeds: expected an integer >= 1, got 0"),
     ("gradcheck", ["--seeds", "-2"], "--seeds: expected an integer >= 1, got -2"),
@@ -285,19 +287,52 @@ def test_gradcheck_runs_and_reports(tmp_path, capsys):
     ("gradcheck", ["--seeds", "1", "--coords", "-1"],
      "--coords: expected an integer >= 1, got -1"),
 ])
-def test_a_negative_seed_or_an_empty_gradient_audit_exits_1(workspace, tmp_path, capsys,
+def test_a_negative_seed_or_an_empty_gradient_audit_exits_1(tmp_path, capsys,
                                                             command, flags, refused):
-    data = workspace["data"]
-    inputs = ["--sv-emb", str(data / "sv_embeddings.tsv"),
-              "--cm-emb", str(data / "cm_embeddings.tsv"),
-              "--train-protocol", str(data / "train_protocol.tsv"),
-              "--dev-protocol", str(data / "dev_protocol.tsv")] if command == "train" else []
     out = tmp_path / "out"
     capsys.readouterr()
-    assert _run([command, *inputs, *flags, "--out", str(out)]) == 1
+    assert _run([command, *flags, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.endswith(f"sasv {command}: error: argument {refused}\n")
     assert "Traceback" not in err and not out.exists()
+
+
+NOISE_REFUSED = "noise and separation parameters must be finite and non-negative"
+LR_REFUSED = "learning rate must be finite and non-negative"
+# (command and flags, the refusal of the config that holds the setting)
+CONFIG_REFUSALS = [
+    ("synth --speakers 2", "need at least 6 speakers for three disjoint splits of >= 2"),
+    ("synth --sv-dim 1", "sv_dim must be >= 2 and cm_dim >= 1"),
+    ("synth --sv-noise nan", NOISE_REFUSED),
+    ("synth --cm-separation inf", NOISE_REFUSED),
+    ("synth --seed -1", "seed must be >= 0, got -1"),
+    ("train --epochs 0", "epochs must be >= 1"),
+    ("train --batch 1", "batch size must be >= 2 (batch norm needs batch statistics)"),
+    ("train --lr -1", LR_REFUSED),
+    ("train --lr inf", LR_REFUSED),
+    ("train --loss-scale 0", "loss scale must be positive and finite, got 0.0"),
+    ("train --margin-fake inf",
+     "loss margins must be finite, got margin_real 0.9 and margin_fake inf"),
+    ("train --seed -1", "seed must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv,message", CONFIG_REFUSALS,
+                         ids=[argv for argv, _ in CONFIG_REFUSALS])
+def test_a_setting_its_config_refuses_exits_1(tmp_path, capsys, argv, message):
+    command, *flags = argv.split()
+    # input files that do not exist: reading any of them would exit 2
+    inputs = [arg for flag in ("--sv-emb", "--cm-emb", "--train-protocol", "--dev-protocol")
+              for arg in (flag, str(tmp_path / "missing.tsv"))] if command == "train" else []
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run([command, *inputs, *flags, "--out", str(out)]) == 1
+    # refused before any file is read: one line, no traceback, no warning
+    assert capsys.readouterr().err == f"sasv: error: {message}\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
 
 
 def test_usage_errors_exit_1(workspace, tmp_path):
@@ -514,6 +549,18 @@ def test_bad_log_level_exits_1(workspace, monkeypatch, tmp_path):
     monkeypatch.setenv("SASV_LOG", "chatty")
     assert _run(["synth", "--out", str(tmp_path / "x")]) == 1
     monkeypatch.delenv("SASV_LOG")
+
+
+def test_run_config_records_every_synth_and_train_setting(workspace):
+    configs = {key: json.loads((workspace[key] / "run_config.json").read_text())["config"]
+               for key in ("data", "run")}
+    assert set(configs["data"]) == {
+        "command", "out", "speakers", "utts", "spoofs", "sv_dim", "cm_dim", "sv_noise",
+        "spoof_sv_offset", "cm_separation", "cm_noise", "seed"}
+    assert set(configs["run"]) == {
+        "command", "out", "sv_emb", "cm_emb", "train_protocol", "dev_protocol", "mode",
+        "normalize_embeddings", "lr", "batch", "epochs", "seed", "loss_scale",
+        "margin_real", "margin_fake"}
 
 
 def test_run_config_written_for_every_command(workspace):

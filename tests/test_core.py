@@ -11,15 +11,18 @@ import reference_embeddings as reference
 from sasv.core import (DataError, EmbeddingStore, NumericError, Protocol, Trial,
                        TrialLabel, check_protocol_ids, cosine, cosine_rows,
                        length_normalize, length_normalize_rows, load_embeddings,
-                       load_protocol, save_embeddings, save_protocol)
+                       load_protocol, save_embeddings, save_protocol, target_mask)
 
 
 def test_trial_label_parse_and_class_index():
     assert TrialLabel.parse("target") is TrialLabel.TARGET
     assert TrialLabel.parse("  SPOOF ") is TrialLabel.SPOOF
-    assert TrialLabel.TARGET.z == 0
-    assert TrialLabel.NONTARGET.z == 1
-    assert TrialLabel.SPOOF.z == 1
+    labels = [TrialLabel.SPOOF, TrialLabel.TARGET, TrialLabel.NONTARGET]
+    assert target_mask(labels, "dev").tolist() == [False, True, False]
+    for one_kind in ([TrialLabel.TARGET], labels[::2], []):
+        with pytest.raises(DataError, match="^dev needs at least one target and one "
+                                            "nontarget/spoof trial$"):
+            target_mask(one_kind, "dev")
     assert str(TrialLabel.NONTARGET) == "nontarget"
 
 

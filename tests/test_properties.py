@@ -18,12 +18,17 @@ unchanged by scaling either of them by a positive factor. Any
 file given to a text parser (embeddings, protocol, scores, CM scores) must
 give a result or a DataError, as must any damaged checkpoint, and the
 command line must end in a documented exit code whatever input file it reads.
+Each setting of a config either constructs or is a DataError, whatever number
+it is given, and a float setting that constructs is finite.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import re
 import struct
+import typing
 import zlib
 
 import numpy as np
@@ -42,6 +47,7 @@ from sasv.core import (DataError, EmbeddingStore, NumericError, Protocol, Trial,
 from sasv.loss import OneClassSoftmaxConfig
 from sasv.metrics import SCORE_CSV_HEADER, eer, load_scores
 from sasv.model import InputMode, IntegrationModel, score_protocol
+from sasv.synthgen import SynthConfig
 from sasv.training import TrainConfig, model_from_checkpoint, model_to_checkpoint
 
 # derandomized and without an example database: the same examples every run
@@ -613,3 +619,26 @@ def test_any_input_file_ends_in_a_documented_exit_code(cli_files, run, data):
     for flag in inputs:
         argv += [flag, str(garbage if flag == target else files[flag])]
     assert _exit_code(argv + ["--out", str(root / "out")]) in (0, 1, 2, 3)
+
+
+CONFIG_FIELDS = [(config, field.name)
+                 for config in (SynthConfig, TrainConfig, OneClassSoftmaxConfig)
+                 for field in dataclasses.fields(config)]
+
+
+@settings(PROPERTY, max_examples=200)
+@given(setting=st.sampled_from(CONFIG_FIELDS),
+       value=st.one_of(st.integers(), st.sampled_from(EXTREME_NUMBERS).map(float)))
+@example(setting=(OneClassSoftmaxConfig, "scale"), value=10**400)
+@example(setting=(OneClassSoftmaxConfig, "margin_fake"), value=-10**400)
+@example(setting=(SynthConfig, "cm_noise"), value=10**400)
+@example(setting=(TrainConfig, "learning_rate"), value=10**400)
+def test_a_config_setting_constructs_or_raises_data_error(setting, value):
+    config, name = setting
+    try:
+        config(**{name: value})
+    except DataError:
+        return
+    # a float setting that constructs is finite
+    if typing.get_type_hints(config)[name] is float:
+        assert -math.inf < value < math.inf
