@@ -47,10 +47,6 @@ class CmScoreSource:
     model: IntegrationModel | None = None
 
     @classmethod
-    def from_table(cls, sv_store: EmbeddingStore, table: EmbeddingStore) -> "CmScoreSource":
-        return cls(sv_store, table)
-
-    @classmethod
     def from_model(cls, model: IntegrationModel, sv_store: EmbeddingStore,
                    cm_store: EmbeddingStore) -> "CmScoreSource":
         if model.mode.uses_enrollment:

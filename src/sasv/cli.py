@@ -208,8 +208,7 @@ def cmd_baseline(args) -> int:
         source = baselines.CmScoreSource.from_model(cm_model, sv_store, cm_store)
     else:
         sv_store = load_embeddings(args.sv_emb, "sv")
-        source = baselines.CmScoreSource.from_table(
-            sv_store, baselines.load_cm_scores(args.cm_scores))
+        source = baselines.CmScoreSource(sv_store, baselines.load_cm_scores(args.cm_scores))
     eval_protocol = load_protocol(args.eval_protocol, "eval")
     eval_sv = baselines.sv_scores_for(eval_protocol, sv_store)
     eval_cm = source.scores_for(eval_protocol)
@@ -332,10 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--seed", type=_int_from(0), default=0)
     gc.add_argument("--seeds", type=_int_from(1), default=10,
                     help="number of consecutive seeds to sweep")
-    gc.add_argument("--coords", type=_int_from(1), default=gradcheck.COMPOSITE_COORDS,
-                    help="sampled coordinates per parameter in the composite check")
-    gc.add_argument("--exhaustive", action="store_true",
-                    help="check every coordinate of the composite (slow)")
+    coverage = gc.add_mutually_exclusive_group()
+    coverage.add_argument("--coords", type=_int_from(1), default=gradcheck.COMPOSITE_COORDS,
+                          help="sampled coordinates per parameter in the composite check")
+    coverage.add_argument("--exhaustive", action="store_true",
+                          help="check every coordinate of the composite (slow)")
     gc.add_argument("--out", required=True)
     gc.set_defaults(func=cmd_gradcheck)
 

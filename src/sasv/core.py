@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -31,6 +31,20 @@ class DataError(_RowError):
 
 class NumericError(_RowError):
     """Numeric failure: zero-norm vectors, non-finite scores, losses or gradients."""
+
+
+def is_integer(value) -> bool:
+    """A Python or NumPy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_int_fields(config) -> None:
+    """DataError, naming the field, for an int field of the dataclass `config`
+    that holds anything but an integer: a float (NaN too) or a bool."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if field.type in ("int", int) and not is_integer(value):
+            raise DataError(f"{field.name} must be an integer, got {value!r}")
 
 
 class TrialLabel(Enum):

@@ -22,7 +22,6 @@ COMPOSITE_KINK_MARGIN = 1e-4  # and the composite check's pre-activations this f
 COMPOSITE_SV_DIM = COMPOSITE_CM_DIM = 8
 COMPOSITE_BATCH = 6
 COMPOSITE_COORDS = 48  # coordinates sampled per parameter of the composite by default
-COMPONENTS = ("linear", "batch_norm", "leaky_relu", "cosine_head", "composite")
 
 
 def relative_error(analytic: float, numeric: float) -> float:
@@ -111,19 +110,22 @@ def check_cosine_head(seed: int) -> float:
     return _check_layer(layer, e, upstream, lambda: float(layer.forward(e) @ upstream))
 
 
+LAYER_CHECKS = {"linear": check_linear, "batch_norm": check_batch_norm,
+                "leaky_relu": check_leaky_relu, "cosine_head": check_cosine_head}
+COMPONENTS = (*LAYER_CHECKS, "composite")  # the rows of gradcheck_report.csv, in order
+
+
 def _composite_inputs(model: IntegrationModel, rng: np.random.Generator):
     # redraw until no pre-activation sits within COMPOSITE_KINK_MARGIN of a
     # leaky-relu kink, otherwise the central difference straddles the corner
     for _ in range(100):
         x = rng.normal(size=(COMPOSITE_BATCH, model.input_dim))
-        tape = GradientTape()
-        h = model.bn.forward(x, tape)
+        h = model.bn.forward(x, GradientTape())
         closest = np.inf
-        for lin, act in ((model.h1, model.act1), (model.h2, model.act2),
-                         (model.h3, model.act3)):
-            pre = lin.forward(h)
-            closest = min(closest, float(np.abs(pre).min()))
-            h = act.forward(pre)
+        for layer in model.layers[1:]:
+            if isinstance(layer, LeakyReluLayer):
+                closest = min(closest, float(np.abs(h).min()))
+            h = layer.forward(h)
         if closest > COMPOSITE_KINK_MARGIN:
             return x
     raise RuntimeError("could not draw kink-free composite inputs")
@@ -154,15 +156,9 @@ def check_composite(seed: int, coords_per_param: int | None = COMPOSITE_COORDS) 
 def run_gradient_checks(seeds=range(10),
                         coords_per_param: int | None = COMPOSITE_COORDS) -> dict[str, float]:
     """Worst relative error per component across the given seeds."""
-    checks = {
-        "linear": check_linear,
-        "batch_norm": check_batch_norm,
-        "leaky_relu": check_leaky_relu,
-        "cosine_head": check_cosine_head,
-    }
     worst = {name: 0.0 for name in COMPONENTS}
     for seed in seeds:
-        for name, fn in checks.items():
+        for name, fn in LAYER_CHECKS.items():
             worst[name] = max(worst[name], fn(seed))
         worst["composite"] = max(
             worst["composite"], check_composite(seed, coords_per_param))

@@ -166,19 +166,18 @@ class LeakyReluLayer(_Layer):
         self._own({})
 
     def forward(self, x: np.ndarray, tape: GradientTape | None = None) -> np.ndarray:
-        # Both modes give the bits of x * (1.0 if x >= 0 else LEAKY_SLOPE), the
-        # kink at zero (-0.0 too) on the positive branch, without a per-element
-        # branch: a product by 0.01 never exceeds its input in magnitude, so
-        # the larger of x and 0.01 * x is x for x >= 0 and 0.01 * x below.
-        if tape is None:
-            y = LEAKY_SLOPE * x
-            return np.maximum(x, y, out=y)
-        factor = np.maximum(x >= 0.0, LEAKY_SLOPE)  # exactly 1.0 or LEAKY_SLOPE
-        tape.push(self, factor)
-        return x * factor
+        # The bits of x * (1.0 if x >= 0 else LEAKY_SLOPE), the kink at zero
+        # (-0.0 too) on the positive branch, without a per-element branch: a
+        # product by 0.01 never exceeds its input in magnitude, so the larger
+        # of x and 0.01 * x is x for x >= 0 and 0.01 * x below.
+        y = LEAKY_SLOPE * x
+        np.maximum(x, y, out=y)
+        if tape is not None:
+            tape.push(self, x)
+        return y
 
-    def backward(self, factor, gy):
-        return gy * factor
+    def backward(self, x, gy):
+        return gy * np.maximum(x >= 0.0, LEAKY_SLOPE)  # factors exactly 1.0 or LEAKY_SLOPE
 
 
 class BatchNormLayer(_Layer):

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DataError, EmbeddingStore, Protocol, Trial, TrialLabel,
-                   length_normalize, length_normalize_rows, save_embeddings,
-                   save_protocol)
+                   check_int_fields, length_normalize, length_normalize_rows,
+                   save_embeddings, save_protocol)
 
 SPLIT_NAMES = ("train", "dev", "eval")
 
@@ -48,6 +48,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.n_speakers < 6:
             raise DataError("need at least 6 speakers for three disjoint splits of >= 2")
         if self.utts_per_speaker < 1 or self.spoofs_per_speaker < 1:

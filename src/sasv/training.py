@@ -16,8 +16,8 @@ from dataclasses import asdict, astuple, dataclass, fields
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .core import (DataError, EmbeddingStore, NumericError, Protocol,
-                   check_protocol_ids, sv_scores, target_mask)
+from .core import (DataError, EmbeddingStore, NumericError, Protocol, check_int_fields,
+                   check_protocol_ids, is_integer, sv_scores, target_mask)
 from .loss import OneClassSoftmaxConfig
 from .metrics import sasv_report, write_csv
 from .model import HIDDEN_SIZES, InputMode, IntegrationModel, score_protocol
@@ -37,6 +37,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.epochs < 1:
             raise DataError("epochs must be >= 1")
         if self.batch_size < 2:
@@ -130,44 +131,47 @@ def train(model: IntegrationModel, sv_store: EmbeddingStore, cm_store: Embedding
     best_metric = math.inf
     best_epoch = 0
 
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        used = 0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            if idx.size < 2:
-                continue  # a leftover single trial cannot be batch-normalized
-            batch_loss = model.training_loss(x_all[idx], s_sv_all[idx], z_all[idx],
-                                             loss_cfg)
-            if not math.isfinite(batch_loss):
-                raise NumericError(f"non-finite loss at epoch {epoch}")
-            adam_step(adam, params.data, params.grad, cfg.learning_rate)
-            loss_sum += batch_loss * idx.size
-            used += idx.size
-        train_loss = loss_sum / used
-        dev_records = score_protocol(model, dev_protocol, sv_store, cm_store)
-        report = sasv_report(dev_records)
-        stats = EpochStats(
-            epoch=epoch,
-            train_loss=train_loss,
-            dev_sv_eer=report.sv.eer if report.sv else None,
-            dev_spf_eer=report.spf.eer if report.spf else None,
-            dev_sasv_eer=report.sasv.eer,
-        )
-        history.append(stats)
-        log.info("epoch %d/%d  loss %.6f  dev sasv-eer %.2f%%",
-                 epoch, cfg.epochs, train_loss, 100.0 * report.sasv.eer)
-        if report.sasv.eer < best_metric:
-            best_metric = report.sasv.eer
-            best_epoch = epoch
-            best_state = {name: a.copy() for name, a in model.state().items()}
-        if best_metric == 0.0:
-            # an EER is never below 0.0 and a later tie never replaces the
-            # best epoch, so no later epoch can change the result
-            log.info("dev SASV-EER reached 0.0 at epoch %d of %d: "
-                     "no later epoch can be chosen", epoch, cfg.epochs)
-            break
+    # an overflow or invalid value is not a warning: it reaches the non-finite
+    # loss, score or gradient checks, which end training with a NumericError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(n)
+            loss_sum = 0.0
+            used = 0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                if idx.size < 2:
+                    continue  # a leftover single trial cannot be batch-normalized
+                batch_loss = model.training_loss(x_all[idx], s_sv_all[idx], z_all[idx],
+                                                 loss_cfg)
+                if not math.isfinite(batch_loss):
+                    raise NumericError(f"non-finite loss at epoch {epoch}")
+                adam_step(adam, params.data, params.grad, cfg.learning_rate)
+                loss_sum += batch_loss * idx.size
+                used += idx.size
+            train_loss = loss_sum / used
+            dev_records = score_protocol(model, dev_protocol, sv_store, cm_store)
+            report = sasv_report(dev_records)
+            stats = EpochStats(
+                epoch=epoch,
+                train_loss=train_loss,
+                dev_sv_eer=report.sv.eer if report.sv else None,
+                dev_spf_eer=report.spf.eer if report.spf else None,
+                dev_sasv_eer=report.sasv.eer,
+            )
+            history.append(stats)
+            log.info("epoch %d/%d  loss %.6f  dev sasv-eer %.2f%%",
+                     epoch, cfg.epochs, train_loss, 100.0 * report.sasv.eer)
+            if report.sasv.eer < best_metric:
+                best_metric = report.sasv.eer
+                best_epoch = epoch
+                best_state = {name: a.copy() for name, a in model.state().items()}
+            if best_metric == 0.0:
+                # an EER is never below 0.0 and a later tie never replaces the
+                # best epoch, so no later epoch can change the result
+                log.info("dev SASV-EER reached 0.0 at epoch %d of %d: "
+                         "no later epoch can be chosen", epoch, cfg.epochs)
+                break
 
     for name, a in model.state().items():
         np.copyto(a, best_state[name])
@@ -203,10 +207,14 @@ def model_from_checkpoint(ckpt: Checkpoint) -> IntegrationModel:
     meta = ckpt.meta
     try:
         mode = InputMode(meta["mode"])
-        sv_dim, cm_dim = int(meta["sv_dim"]), int(meta["cm_dim"])
-        normalize = bool(meta["normalize_embeddings"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        sv_dim, cm_dim = meta["sv_dim"], meta["cm_dim"]
+        normalize = meta["normalize_embeddings"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad integration checkpoint metadata: {exc}") from None
+    if not (is_integer(sv_dim) and is_integer(cm_dim) and isinstance(normalize, bool)):
+        raise DataError(f"bad integration checkpoint metadata: sv_dim {sv_dim!r} and cm_dim "
+                        f"{cm_dim!r} must be integers and normalize_embeddings "
+                        f"{normalize!r} a bool")
     # the stored arrays bound the dims before any array of that size is made
     d_in = mode.input_dim(sv_dim, cm_dim)
     for name, shape in (("bn.gamma", (d_in,)), ("h1.weight", (HIDDEN_SIZES[0], d_in))):

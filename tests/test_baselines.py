@@ -62,7 +62,7 @@ def _two_trial_protocol():
 def test_table_source_lookup_order_and_missing():
     sv = EmbeddingStore("sv", ["e1", "u1", "u2", "u9"], np.eye(4))
     # table rows in another order than the trials ask for them
-    source = baselines.CmScoreSource.from_table(
+    source = baselines.CmScoreSource(
         sv, EmbeddingStore("cm", ["u2", "u1"], [[-1.0], [1.0]]))
     scores = source.scores_for(_two_trial_protocol())
     assert np.array_equal(scores, [1.0, -1.0])

@@ -286,6 +286,8 @@ def test_gradcheck_runs_and_reports(tmp_path, capsys):
      "--coords: expected an integer >= 1, got 0"),
     ("gradcheck", ["--seeds", "1", "--coords", "-1"],
      "--coords: expected an integer >= 1, got -1"),
+    ("gradcheck", ["--seeds", "1", "--coords", "4", "--exhaustive"],
+     "--exhaustive: not allowed with argument --coords"),
 ])
 def test_a_negative_seed_or_an_empty_gradient_audit_exits_1(tmp_path, capsys,
                                                             command, flags, refused):
@@ -396,7 +398,15 @@ def test_malformed_checkpoints_exit_2(workspace, tmp_path):
     name_at = body.index(b"\x01\x00a") + 2
     body = body[:name_at] + b"\xff" + body[name_at + 1:]
     bad_name = body + struct.pack("<I", zlib.crc32(body))
-    for i, blob in enumerate((list_meta, bad_name)):
+    # metadata of the wrong type, each value one that int() or bool() would take
+    ckpt = load_checkpoint(str(workspace["model"]))
+    mistyped = [checkpoint_to_bytes(Checkpoint("integration", dict(ckpt.meta, **{key: value}),
+                                               ckpt.arrays))
+                for key, value in (("normalize_embeddings", "false"),
+                                   ("normalize_embeddings", 0.5),
+                                   ("normalize_embeddings", [0]),
+                                   ("sv_dim", 6.9), ("sv_dim", "6"))]
+    for i, blob in enumerate((list_meta, bad_name, *mistyped)):
         path = tmp_path / f"bad{i}.ckpt"
         path.write_bytes(blob)
         args = ["score", "--model", str(path),
@@ -543,6 +553,23 @@ def test_train_on_overflowing_cm_embeddings_exits_3(workspace, tmp_path, capsys)
             "--epochs", "2", "--out", str(tmp_path / "run")]
     assert _run(args) == 3
     assert "numeric error: batch norm variance overflowed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", [["--loss-scale", "1e308"], ["--lr", "1e300"]])
+def test_a_training_that_blows_up_exits_3_with_one_line(workspace, tmp_path, capsys,
+                                                         setting):
+    # a finite but huge setting overflows in the loss or the forward; the
+    # non-finite checks report it, and no numpy warning reaches stderr
+    data = workspace["data"]
+    capsys.readouterr()
+    args = ["train", "--sv-emb", str(data / "sv_embeddings.tsv"),
+            "--cm-emb", str(data / "cm_embeddings.tsv"),
+            "--train-protocol", str(data / "train_protocol.tsv"),
+            "--dev-protocol", str(data / "dev_protocol.tsv"),
+            "--epochs", "3", *setting, "--out", str(tmp_path / "run")]
+    assert _run(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("sasv: numeric error: ") and err.count("\n") == 1, err
 
 
 def test_bad_log_level_exits_1(workspace, monkeypatch, tmp_path):

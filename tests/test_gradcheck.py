@@ -95,6 +95,9 @@ def test_layer_check_flags_a_planted_backward_error(monkeypatch, component, laye
 
 def test_run_gradient_checks_covers_all_components():
     results = gradcheck.run_gradient_checks(seeds=range(2), coords_per_param=8)
+    # gradcheck_report.csv writes one row per component, in this order
+    assert gradcheck.COMPONENTS == ("linear", "batch_norm", "leaky_relu", "cosine_head",
+                                    "composite")
     assert set(results) == set(gradcheck.COMPONENTS)
     for name, worst in results.items():
         assert worst < gradcheck.REL_TOL, name

@@ -108,13 +108,16 @@ def test_leaky_relu_keeps_the_bits_of_the_where_formula():
 
 
 class _StrictLeakyRelu(LeakyReluLayer):
-    """A planted bug: the kink at zero taken on the negative branch."""
+    """A planted bug: the kink at zero taken on the negative branch, in the
+    forward and in the backward; the tape keeps the input, as the layer's."""
 
     def forward(self, x, tape=None):
-        factor = np.maximum(x > 0.0, LEAKY_SLOPE)
         if tape is not None:
-            tape.push(self, factor)
-        return x * factor
+            tape.push(self, x)
+        return np.where(x > 0.0, x, LEAKY_SLOPE * x)
+
+    def backward(self, x, gy):
+        return gy * np.maximum(x > 0.0, LEAKY_SLOPE)
 
 
 def test_leaky_relu_oracle_catches_the_kink_on_the_negative_branch():

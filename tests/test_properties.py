@@ -468,9 +468,21 @@ JSON_VALUES = st.recursive(
 @example(changes={"sv_dim": 2**60}, replace_all=False, whole=None)
 @example(changes={"cm_dim": float("inf")}, replace_all=False, whole=None)
 @example(changes={"mode": ["cm_only"]}, replace_all=False, whole=None)
+@example(changes={"normalize_embeddings": "false"}, replace_all=False, whole=None)
+@example(changes={"sv_dim": 6.9}, replace_all=False, whole=None)
 def test_checkpoint_meta_loads_or_raises_data_error(changes, replace_all, whole):
     meta = whole if replace_all else dict(VALID.meta, **changes)
-    _loads_or_data_error(checkpoint_to_bytes(Checkpoint("integration", meta, VALID.arrays)))
+    try:
+        ckpt = checkpoint_from_bytes(
+            checkpoint_to_bytes(Checkpoint("integration", meta, VALID.arrays)))
+        model_from_checkpoint(ckpt)
+    except DataError:
+        return
+    # a checkpoint that loads holds its metadata with these exact types
+    meta = ckpt.meta
+    assert meta["mode"] in [m.value for m in InputMode]
+    assert type(meta["sv_dim"]) is int and type(meta["cm_dim"]) is int
+    assert type(meta["normalize_embeddings"]) is bool
 
 
 @pytest.mark.parametrize("meta_json", [
@@ -628,17 +640,26 @@ CONFIG_FIELDS = [(config, field.name)
 
 @settings(PROPERTY, max_examples=200)
 @given(setting=st.sampled_from(CONFIG_FIELDS),
-       value=st.one_of(st.integers(), st.sampled_from(EXTREME_NUMBERS).map(float)))
+       value=st.one_of(st.integers(), st.sampled_from(EXTREME_NUMBERS).map(float),
+                       st.floats(-100.0, 100.0), st.booleans()))
 @example(setting=(OneClassSoftmaxConfig, "scale"), value=10**400)
 @example(setting=(OneClassSoftmaxConfig, "margin_fake"), value=-10**400)
 @example(setting=(SynthConfig, "cm_noise"), value=10**400)
 @example(setting=(TrainConfig, "learning_rate"), value=10**400)
+@example(setting=(SynthConfig, "sv_dim"), value=float("nan"))
+@example(setting=(SynthConfig, "n_speakers"), value=8.5)
+@example(setting=(SynthConfig, "seed"), value=1.5)
+@example(setting=(TrainConfig, "epochs"), value=float("nan"))
+@example(setting=(TrainConfig, "batch_size"), value=2.5)
+@example(setting=(TrainConfig, "seed"), value=True)
 def test_a_config_setting_constructs_or_raises_data_error(setting, value):
     config, name = setting
     try:
         config(**{name: value})
     except DataError:
         return
-    # a float setting that constructs is finite
+    # a float setting that constructs is finite, an int setting an integer
     if typing.get_type_hints(config)[name] is float:
         assert -math.inf < value < math.inf
+    else:
+        assert type(value) is int
