@@ -18,6 +18,7 @@ import dataclasses
 import json
 import logging
 import os
+import re
 import sys
 import typing
 
@@ -44,6 +45,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # values, not options: argparse's own pattern takes -1e3, -inf and -nan for options
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf$|nan$)")
+
     # argparse defaults to exit code 2 on bad usage; the contract here is 1
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -151,15 +157,7 @@ def cmd_train(args) -> int:
 def _load_model_and_stores(model_path: str, args):
     """The checkpoint's model and the stores it scores, loaded as it was trained."""
     model = training.model_from_checkpoint(load_checkpoint(model_path))
-    sv_store, cm_store = _load_stores(args.sv_emb, args.cm_emb,
-                                      model.normalize_embeddings)
-    if (sv_store.dimension, cm_store.dimension) != (model.sv_dim, model.cm_dim):
-        raise DataError(
-            f"the embeddings have sv_dim {sv_store.dimension} and cm_dim "
-            f"{cm_store.dimension}, the checkpoint was trained on sv_dim "
-            f"{model.sv_dim} and cm_dim {model.cm_dim}"
-        )
-    return model, sv_store, cm_store
+    return model, *_load_stores(args.sv_emb, args.cm_emb, model.normalize_embeddings)
 
 
 def _score_eval_protocol(args):

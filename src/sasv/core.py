@@ -17,19 +17,16 @@ from typing import NamedTuple
 import numpy as np
 
 
-class _RowError(Exception):
-    """An error that may name the faulty row of an array input: `row`, or None."""
+class DataError(Exception):
+    """Malformed or inconsistent input: bad file line, duplicate or missing id, empty
+    protocol. `row` names the faulty row of an array input, or is None."""
 
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)
         self.row = row
 
 
-class DataError(_RowError):
-    """Malformed or inconsistent input: bad file line, duplicate or missing id, empty protocol."""
-
-
-class NumericError(_RowError):
+class NumericError(Exception):
     """Numeric failure: zero-norm vectors, non-finite scores, losses or gradients."""
 
 

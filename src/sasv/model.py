@@ -98,6 +98,10 @@ class IntegrationModel:
     def assemble_batch(self, rows: TrialRows, sv_store: EmbeddingStore,
                        cm_store: EmbeddingStore) -> np.ndarray:
         """Stack the network inputs [N, input_dim] of resolved trials."""
+        if (sv_store.dimension, cm_store.dimension) != (self.sv_dim, self.cm_dim):
+            raise DataError(f"the embeddings have sv_dim {sv_store.dimension} and cm_dim "
+                            f"{cm_store.dimension}, the model takes sv_dim {self.sv_dim} "
+                            f"and cm_dim {self.cm_dim}")
         test_cm = cm_store.matrix[rows.test_cm]
         if self.mode is InputMode.CM_ONLY:
             return test_cm

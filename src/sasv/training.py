@@ -227,16 +227,13 @@ def model_from_checkpoint(ckpt: Checkpoint) -> IntegrationModel:
             )
     model = IntegrationModel(mode, sv_dim, cm_dim, rng=np.random.default_rng(0),
                              normalize_embeddings=normalize)
-    expected = model.state()
-    if set(expected) != set(ckpt.arrays):
-        missing = sorted(set(expected) ^ set(ckpt.arrays))
-        raise DataError(f"checkpoint arrays do not match the model: {missing}")
-    for name, target in expected.items():
-        src = ckpt.arrays[name]
-        if src.shape != target.shape:
-            raise DataError(
-                f"checkpoint array {name!r} has shape {src.shape}, "
-                f"expected {target.shape}"
-            )
-        np.copyto(target, src)
+    state = model.state()
+    layout = {name: array.shape for name, array in state.items()}
+    found = {name: array.shape for name, array in ckpt.arrays.items()}
+    faults = [f"{name!r}: stored {found.get(name, 'none')}, expected {layout.get(name, 'none')}"
+              for name in {**layout, **found} if found.get(name) != layout.get(name)]
+    if faults:
+        raise DataError(f"checkpoint arrays do not match the model: {'; '.join(faults)}")
+    for name, target in state.items():
+        np.copyto(target, ckpt.arrays[name])
     return model

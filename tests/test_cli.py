@@ -315,6 +315,12 @@ CONFIG_REFUSALS = [
     ("train --loss-scale 0", "loss scale must be positive and finite, got 0.0"),
     ("train --margin-fake inf",
      "loss margins must be finite, got margin_real 0.9 and margin_fake inf"),
+    # negative values that argparse's own pattern would take for options
+    ("train --lr -1e-3", LR_REFUSED),
+    ("train --margin-real -inf",
+     "loss margins must be finite, got margin_real -inf and margin_fake 0.2"),
+    ("train --margin-real -nan",
+     "loss margins must be finite, got margin_real nan and margin_fake 0.2"),
     ("train --seed -1", "seed must be >= 0, got -1"),
 ]
 
@@ -335,6 +341,16 @@ def test_a_setting_its_config_refuses_exits_1(tmp_path, capsys, argv, message):
     assert capsys.readouterr().err == f"sasv: error: {message}\n"
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
+
+
+def test_a_negative_value_in_exponent_form_is_a_value(workspace, tmp_path):
+    data, out = workspace["data"], tmp_path / "run"
+    assert _run(["train", "--sv-emb", str(data / "sv_embeddings.tsv"),
+                 "--cm-emb", str(data / "cm_embeddings.tsv"),
+                 "--train-protocol", str(data / "train_protocol.tsv"),
+                 "--dev-protocol", str(data / "dev_protocol.tsv"),
+                 "--epochs", "1", "--margin-fake", "-1e3", "--out", str(out)]) == 0
+    assert load_checkpoint(str(out / "model.ckpt")).meta["loss"]["margin_fake"] == -1000.0
 
 
 def test_usage_errors_exit_1(workspace, tmp_path):
@@ -504,7 +520,8 @@ def test_store_dims_that_disagree_with_the_checkpoint_exit_2(workspace, tmp_path
                                  ["score", "--model", model],
                                  ["baseline", "--kind", "sum", "--cm-model", model])):
         assert _run(command + stores + ["--out", str(tmp_path / f"x{i}")]) == 2, command[0]
-        assert "the checkpoint was trained on sv_dim 6 and cm_dim 5" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("sasv: data error: the embeddings have sv_dim 5 and "
+                                           "cm_dim 6, the model takes sv_dim 6 and cm_dim 5\n")
 
 
 def test_numeric_errors_exit_3(workspace, tmp_path, capsys):

@@ -357,7 +357,6 @@ def test_load_embeddings_names_the_line_of_a_zero_norm_row(tmp_path):
     assert len(load_embeddings(str(path), "sv")) == 2
     with pytest.raises(NumericError, match=r"emb\.tsv:3: cannot length-normalize") as exc:
         load_embeddings(str(path), "sv", normalize=True)
-    assert exc.value.row is None
     # the first faulty line decides between a zero norm and a repeated id,
     # and a row's zero norm comes before its own repeated id or width
     for text, error, lineno in [

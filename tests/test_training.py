@@ -8,7 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sasv.checkpoint import checkpoint_from_bytes, checkpoint_to_bytes
+from sasv.baselines import CmScoreSource
+from sasv.checkpoint import Checkpoint, checkpoint_from_bytes, checkpoint_to_bytes
 from sasv.core import DataError, NumericError, Protocol, Trial, TrialLabel
 from sasv.loss import OneClassSoftmaxConfig
 from sasv.metrics import sasv_report
@@ -263,9 +264,20 @@ def test_corrupted_checkpoint_is_rejected(tiny_trained):
             checkpoint_from_bytes(bytes(broken))
 
 
-def test_wrong_kind_checkpoint_rejected():
-    from sasv.checkpoint import Checkpoint
+def test_checkpoint_arrays_that_disagree_with_the_model_are_named_at_once(tiny_trained):
+    ckpt = model_to_checkpoint(tiny_trained.model, TrainConfig(),
+                               OneClassSoftmaxConfig(), 1, 0.5)
+    arrays = dict(ckpt.arrays, extra=np.zeros(3), **{"h2.bias": np.zeros(5)})
+    del arrays["head.direction"]
+    with pytest.raises(DataError) as exc:
+        model_from_checkpoint(Checkpoint("integration", ckpt.meta, arrays))
+    assert str(exc.value) == (
+        "checkpoint arrays do not match the model: 'h2.bias': stored (5,), expected "
+        "(128,); 'head.direction': stored none, expected (64,); 'extra': stored (3,), "
+        "expected none")
 
+
+def test_wrong_kind_checkpoint_rejected():
     with pytest.raises(DataError, match="integration"):
         model_from_checkpoint(Checkpoint(kind="cascade", meta={}, arrays={}))
 
@@ -282,6 +294,28 @@ def test_train_validates_inputs(tiny_dataset):
     with pytest.raises(DataError, match="epochs"):
         train(_fresh_model(ds), ds.sv_store, ds.cm_store, ds.protocols["train"],
               ds.protocols["dev"], TrainConfig(epochs=0), OneClassSoftmaxConfig())
+
+
+def test_stores_of_other_dims_are_refused_even_at_the_same_width(tiny_dataset):
+    # sv_dim 6 and cm_dim 5 fill the 11 inputs of a model for sv_dim 5 and cm_dim 6
+    ds = tiny_dataset
+    message = ("the embeddings have sv_dim 6 and cm_dim 5, the model takes sv_dim 5 "
+               "and cm_dim 6")
+    swapped = IntegrationModel(InputMode.CONCAT, ds.config.cm_dim, ds.config.sv_dim,
+                               np.random.default_rng(0))
+    with pytest.raises(DataError, match=message):
+        train(swapped, ds.sv_store, ds.cm_store, ds.protocols["train"],
+              ds.protocols["dev"], TrainConfig(epochs=1), OneClassSoftmaxConfig())
+    with pytest.raises(DataError, match=message):
+        score_protocol(swapped, ds.protocols["eval"], ds.sv_store, ds.cm_store)
+    with pytest.raises(DataError, match=message):
+        CmScoreSource.from_model(swapped, ds.sv_store, ds.cm_store).scores_for(
+            ds.protocols["eval"])
+    # a cm_only model reads no SV embedding, but it still takes only its own dims
+    cm_only = IntegrationModel(InputMode.CM_ONLY, 99, ds.config.cm_dim,
+                               np.random.default_rng(0))
+    with pytest.raises(DataError, match="the model takes sv_dim 99 and cm_dim 5"):
+        score_protocol(cm_only, ds.protocols["eval"], ds.sv_store, ds.cm_store)
 
 
 def test_write_history_round_trips(tmp_path, tiny_trained):
