@@ -17,7 +17,8 @@ runs, in a temporary directory and against the `sasv` package under --src
   CM scorer, and again with the normalizing `concat` model, so the hashes
   also cover a baseline that loads its embeddings normalized;
 - `baseline` `sum`, `cascade` and `logreg` with a CM score table (`--cm-scores`)
-  made of the first value of each row of the CM embedding file;
+  made of the first value of each row of the CM embedding file, and `sum` again
+  without `--dev-protocol`, so the hashes cover both of its paths;
 - `gradcheck --seeds 3`;
 
 so the hashes cover every CSV writer: `scores.csv`, `eer_report.csv`,
@@ -93,6 +94,8 @@ def run_pipeline(src: str, work: str) -> None:
         _sasv(src, "baseline", "--kind", kind, "--sv-emb", stores[1], "--cm-scores", table,
               "--dev-protocol", dev, "--eval-protocol", eval_protocol,
               "--out", os.path.join(work, f"baseline_table_{kind}"))
+    _sasv(src, "baseline", "--kind", "sum", "--sv-emb", stores[1], "--cm-scores", table,
+          "--eval-protocol", eval_protocol, "--out", os.path.join(work, "baseline_table_sum_eval"))
     _sasv(src, "gradcheck", "--seeds", "3", "--out", os.path.join(work, "gradcheck"))
 
 

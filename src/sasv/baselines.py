@@ -79,6 +79,16 @@ def cascade_scores(s_sv, s_cm, tau: float) -> np.ndarray:
     return np.where(s_cm < tau, CASCADE_FLOOR, s_sv)
 
 
+def _fit_inputs(s_sv, s_cm, labels: list[TrialLabel], kind: str):
+    """The scores as float arrays and the target mask, checked for a fit."""
+    s_sv = np.asarray(s_sv, dtype=np.float64)
+    s_cm = np.asarray(s_cm, dtype=np.float64)
+    is_target = target_mask(labels, f"{kind} fitting")
+    if not (np.all(np.isfinite(s_sv)) and np.all(np.isfinite(s_cm))):
+        raise NumericError(f"non-finite score passed to fit_{kind}")
+    return s_sv, s_cm, is_target
+
+
 def fit_cascade(s_sv, s_cm, labels: list[TrialLabel]) -> float:
     """Pick the CM gate threshold minimizing dev SASV-EER.
 
@@ -88,11 +98,7 @@ def fit_cascade(s_sv, s_cm, labels: list[TrialLabel]) -> float:
     scores below it, so its EER is that of one gated prefix
     (_gated_prefix_eers).
     """
-    s_sv = np.asarray(s_sv, dtype=np.float64)
-    s_cm = np.asarray(s_cm, dtype=np.float64)
-    is_target = target_mask(labels, "cascade fitting")
-    if not (np.all(np.isfinite(s_sv)) and np.all(np.isfinite(s_cm))):
-        raise NumericError("non-finite score passed to fit_cascade")
+    s_sv, s_cm, is_target = _fit_inputs(s_sv, s_cm, labels, "cascade")
     distinct, group = np.unique(s_cm, return_inverse=True)
     with np.errstate(over="ignore"):  # an overflowing midpoint is inf: it gates all
         midpoints = (distinct[:-1] + distinct[1:]) / 2.0
@@ -189,9 +195,8 @@ def fit_logreg(s_sv, s_cm, labels: list[TrialLabel]) -> LogisticFusion:
     LOGREG_STEPS full-batch Adam steps at learning rate LOGREG_LR from
     zero-initialized weights; the sigmoid output is the fused score.
     """
-    s_sv = np.asarray(s_sv, dtype=np.float64)
-    s_cm = np.asarray(s_cm, dtype=np.float64)
-    y = target_mask(labels, "logreg fitting").astype(np.float64)
+    s_sv, s_cm, is_target = _fit_inputs(s_sv, s_cm, labels, "logreg")
+    y = is_target.astype(np.float64)
     params = np.zeros(3)  # [w_sv, w_cm, bias]
     grads = np.empty(3)
     adam = AdamState(params)
@@ -221,10 +226,15 @@ def baseline_records(kind: str, protocol: Protocol, s_sv: np.ndarray,
             for t, a, b, c in zip(protocol.trials, s_sv, s_cm, fused)]
 
 
-def logreg_to_checkpoint(fitted: LogisticFusion) -> Checkpoint:
-    return Checkpoint(kind="logreg", meta={},
-                      arrays={"weight": fitted.weight, "bias": np.array(fitted.bias)})
+# the kinds fitted on dev, each to the `fitted` that baseline_records takes
+FITS = {"cascade": fit_cascade, "logreg": fit_logreg}
 
 
-def cascade_to_checkpoint(tau: float) -> Checkpoint:
-    return Checkpoint(kind="cascade", meta={}, arrays={"tau": np.array(tau)})
+def fit_outputs(kind: str, fitted) -> tuple[Checkpoint, str]:
+    """The baseline.ckpt checkpoint of a fit and the line that reports it."""
+    if kind == "cascade":
+        arrays, shown = {"tau": np.array(fitted)}, f"threshold {fitted:.6f}"
+    else:
+        arrays = {"weight": fitted.weight, "bias": np.array(fitted.bias)}
+        shown = f"weights {fitted.weight[0]:.4f} {fitted.weight[1]:.4f} bias {fitted.bias:.4f}"
+    return Checkpoint(kind=kind, meta={}, arrays=arrays), f"fitted {kind} {shown}"

@@ -197,8 +197,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    needs_dev = args.kind in ("cascade", "logreg")
-    _require(not needs_dev or args.dev_protocol,
+    fit = baselines.FITS.get(args.kind)
+    _require(fit is None or args.dev_protocol,
              f"baseline --kind {args.kind} needs --dev-protocol for fitting")
     if args.cm_model:
         _require(args.cm_emb, "baseline --cm-model needs --cm-emb")
@@ -213,22 +213,15 @@ def cmd_baseline(args) -> int:
 
     fitted = None
     os.makedirs(args.out, exist_ok=True)
-    if needs_dev:
+    if args.dev_protocol:
         dev_protocol = load_protocol(args.dev_protocol, "dev")
         dev_sv = baselines.sv_scores_for(dev_protocol, sv_store)
         dev_cm = source.scores_for(dev_protocol)
-        dev_labels = [t.label for t in dev_protocol.trials]
-        if args.kind == "cascade":
-            fitted = baselines.fit_cascade(dev_sv, dev_cm, dev_labels)
-            save_checkpoint(baselines.cascade_to_checkpoint(fitted),
-                            os.path.join(args.out, "baseline.ckpt"))
-            print(f"fitted cascade threshold {fitted:.6f}")
-        else:
-            fitted = baselines.fit_logreg(dev_sv, dev_cm, dev_labels)
-            save_checkpoint(baselines.logreg_to_checkpoint(fitted),
-                            os.path.join(args.out, "baseline.ckpt"))
-            print(f"fitted logreg weights {fitted.weight[0]:.4f} "
-                  f"{fitted.weight[1]:.4f} bias {fitted.bias:.4f}")
+        if fit is not None:
+            fitted = fit(dev_sv, dev_cm, [t.label for t in dev_protocol.trials])
+            ckpt, line = baselines.fit_outputs(args.kind, fitted)
+            save_checkpoint(ckpt, os.path.join(args.out, "baseline.ckpt"))
+            print(line)
         dev_records = baselines.baseline_records(args.kind, dev_protocol,
                                                  dev_sv, dev_cm, fitted)
         print("dev:")
@@ -363,8 +356,8 @@ def main(argv=None) -> int:
     except NumericError as exc:
         sys.stderr.write(f"sasv: numeric error: {exc}\n")
         return EXIT_NUMERIC
-    except OSError as exc:
-        sys.stderr.write(f"sasv: data error: {exc}\n")
+    except (OSError, MemoryError) as exc:  # an input too large for memory is bad data
+        sys.stderr.write(f"sasv: data error: {str(exc) or 'out of memory'}\n")
         return EXIT_DATA
 
 

@@ -152,8 +152,11 @@ def spoof_scores_for(model: IntegrationModel, rows: TrialRows,
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     x = model.assemble_batch(TrialRows(*(r[first] for r in rows)), sv_store, cm_store)
     x = np.concatenate([x, np.repeat(x[-1:], -len(x) % SCORE_BATCH, axis=0)])
-    s_spf = np.concatenate([model.spoof_scores(x[i:i + SCORE_BATCH])
-                            for i in range(0, len(x), SCORE_BATCH)])
+    # as in training: an overflow or invalid value reaches the cosine head's
+    # range check, a NumericError, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_spf = np.concatenate([model.spoof_scores(x[i:i + SCORE_BATCH])
+                                for i in range(0, len(x), SCORE_BATCH)])
     return s_spf[inverse]
 
 

@@ -259,9 +259,10 @@ class CosineHead(_Layer):
         # the 2-norms as np.linalg.norm computes them, without its wrapper
         norm_w = np.sqrt(w @ w)
         norms_e = np.sqrt((e * e).sum(axis=1))
-        if norm_w == 0.0 or np.any(norms_e == 0.0):
-            raise NumericError("cosine head hit a zero-norm vector")
-        scores = (e @ w) / (norms_e * norm_w)
+        norms = norms_e * norm_w
+        if not np.all((norms > 0.0) & (norms < np.inf)):  # a NaN fails too
+            raise NumericError("cosine head hit a zero-norm or overflowing vector")
+        scores = (e @ w) / norms
         if tape is not None:
             tape.push(self, (e, scores, norms_e, norm_w))
         return scores

@@ -82,22 +82,24 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
     """One in-place Adam update of `params` from `grads`, the same layout.
 
     Elementwise, in the order p -= lr * (m / bc1) / (sqrt(v / bc2) + eps),
-    so the bits equal those of one update per named array.
+    so the bits equal those of one update per named array. A gradient that is
+    not finite, or whose square overflows, is refused before any state moves.
     """
-    if not np.isfinite(grads).all():
-        bad = int(np.flatnonzero(~np.isfinite(grads))[0])
-        raise NumericError(f"non-finite gradient at flat index {bad}")
+    m, v, step = state.m, state.v, state._step
+    with np.errstate(over="ignore"):  # an overflowing square is the error below
+        np.square(grads, out=step)
+    if not np.isfinite(step).all():  # g**2 is finite exactly when g is and it fits
+        bad = int(np.flatnonzero(~np.isfinite(step))[0])
+        raise NumericError(f"non-finite gradient at flat index {bad} (or its square)")
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    m, v, step = state.m, state.v, state._step
+    v *= ADAM_BETA2
+    step *= 1.0 - ADAM_BETA2
+    v += step
     m *= ADAM_BETA1
     np.multiply(1.0 - ADAM_BETA1, grads, out=step)
     m += step
-    v *= ADAM_BETA2
-    np.square(grads, out=step)
-    step *= 1.0 - ADAM_BETA2
-    v += step
     # fresh each step: a second scratch array kept for the whole training
     # raised peak RSS and measured no faster
     denom = np.empty_like(v)
@@ -235,5 +237,9 @@ def model_from_checkpoint(ckpt: Checkpoint) -> IntegrationModel:
     if faults:
         raise DataError(f"checkpoint arrays do not match the model: {'; '.join(faults)}")
     for name, target in state.items():
+        if not np.isfinite(ckpt.arrays[name]).all():
+            raise DataError(f"checkpoint array {name!r} holds a non-finite value")
         np.copyto(target, ckpt.arrays[name])
+    if (model.bn.running_var < 0.0).any():
+        raise DataError("checkpoint array 'bn.running_var' holds a negative variance")
     return model

@@ -313,9 +313,9 @@ def _flip_detected(blob: bytes, pos: int, mask: int) -> bool:
 
 def test_checkpoints_round_trip_and_reject_corruption(tmp_path, tiny_trained):
     small_blobs = {
-        "cascade": checkpoint_to_bytes(baselines.cascade_to_checkpoint(0.375)),
-        "logreg": checkpoint_to_bytes(baselines.logreg_to_checkpoint(
-            baselines.LogisticFusion(weight=np.array([0.8, -0.3]), bias=0.1))),
+        "cascade": checkpoint_to_bytes(baselines.fit_outputs("cascade", 0.375)[0]),
+        "logreg": checkpoint_to_bytes(baselines.fit_outputs("logreg", baselines.LogisticFusion(
+            weight=np.array([0.8, -0.3]), bias=0.1))[0]),
         "integration": checkpoint_to_bytes(Checkpoint(
             kind="integration", meta={"mode": "concat"},
             arrays={"w": np.arange(6.0).reshape(2, 3), "b": np.zeros(3)})),

@@ -157,14 +157,17 @@ def test_fit_cascade_needs_both_classes():
 
 
 def test_fit_cascade_rejects_non_finite_scores():
-    # a NaN CM score would sort nowhere among the candidates and never gate
+    # a NaN CM score would sort nowhere among the candidates and never gate;
+    # both fits share the one check, before any arithmetic on the scores
     labels = [TrialLabel.TARGET, TrialLabel.SPOOF, TrialLabel.TARGET,
               TrialLabel.NONTARGET]
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(NumericError):
-            baselines.fit_cascade([0.9, 0.2, 0.8, 0.1], [bad, 1.0, 0.3, -1.0], labels)
-        with pytest.raises(NumericError):
-            baselines.fit_cascade([bad, 0.2, 0.8, 0.1], [0.5, 1.0, 0.3, -1.0], labels)
+    for fit in (baselines.fit_cascade, baselines.fit_logreg):
+        message = f"non-finite score passed to {fit.__name__}"
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NumericError, match=message):
+                fit([0.9, 0.2, 0.8, 0.1], [bad, 1.0, 0.3, -1.0], labels)
+            with pytest.raises(NumericError, match=message):
+                fit([bad, 0.2, 0.8, 0.1], [0.5, 1.0, 0.3, -1.0], labels)
 
 
 def test_logreg_separates_and_orients():
@@ -186,6 +189,18 @@ def test_logreg_needs_both_classes():
     with pytest.raises(DataError):
         baselines.fit_logreg([1.0, 2.0], [1.0, 2.0],
                              [TrialLabel.TARGET, TrialLabel.TARGET])
+
+
+def test_fit_outputs_save_and_show_each_fit():
+    assert set(baselines.FITS) == {"cascade", "logreg"} < set(baselines.BASELINE_KINDS)
+    ckpt, line = baselines.fit_outputs("cascade", 0.375)
+    assert (ckpt.kind, ckpt.meta, list(ckpt.arrays)) == ("cascade", {}, ["tau"])
+    assert ckpt.arrays["tau"] == 0.375 and line == "fitted cascade threshold 0.375000"
+    fitted = baselines.LogisticFusion(weight=np.array([0.8, -0.3]), bias=0.1)
+    ckpt, line = baselines.fit_outputs("logreg", fitted)
+    assert (ckpt.kind, ckpt.meta, list(ckpt.arrays)) == ("logreg", {}, ["weight", "bias"])
+    assert ckpt.arrays["weight"].tolist() == [0.8, -0.3] and ckpt.arrays["bias"] == 0.1
+    assert line == "fitted logreg weights 0.8000 -0.3000 bias 0.1000"
 
 
 def test_baseline_records_columns():

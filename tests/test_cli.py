@@ -217,6 +217,56 @@ def test_baseline_with_score_table_and_fitting(workspace, tmp_path):
     assert _run(missing_dev) == 1  # fitting without --dev-protocol is usage
 
 
+def test_sum_reports_a_given_dev_protocol(workspace, tmp_path, capsys):
+    data, model = workspace["data"], workspace["model"]
+    common = ["baseline", "--kind", "sum",
+              "--sv-emb", str(data / "sv_embeddings.tsv"),
+              "--cm-emb", str(data / "cm_embeddings.tsv"), "--cm-model", str(model),
+              "--eval-protocol", str(data / "eval_protocol.tsv")]
+    with_dev, without = tmp_path / "with", tmp_path / "without"
+    assert _run(common + ["--out", str(without)]) == 0
+    capsys.readouterr()
+    assert _run(common + ["--dev-protocol", str(data / "dev_protocol.tsv"),
+                          "--out", str(with_dev)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("dev:\nmetric") and "\neval:\nmetric" in printed
+    # a sum fits nothing: no baseline.ckpt, and the eval outputs do not change
+    assert not (with_dev / "baseline.ckpt").exists()
+    for name in ("scores.csv", "eer_report.csv"):
+        assert filecmp.cmp(with_dev / name, without / name, shallow=False), name
+
+
+def test_sum_with_a_missing_dev_protocol_exits_2(workspace, tmp_path, capsys):
+    data = workspace["data"]
+    table = _cm_table(data, tmp_path / "cm_scores.tsv")
+    missing = tmp_path / "nonexistent.tsv"
+    capsys.readouterr()
+    assert _run(["baseline", "--kind", "sum", "--sv-emb", str(data / "sv_embeddings.tsv"),
+                 "--cm-scores", str(table), "--dev-protocol", str(missing),
+                 "--eval-protocol", str(data / "eval_protocol.tsv"),
+                 "--out", str(tmp_path / "b")]) == 2
+    assert capsys.readouterr().err == (
+        f"sasv: data error: [Errno 2] No such file or directory: '{missing}'\n")
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e307])
+def test_a_logreg_gradient_whose_square_overflows_exits_3(workspace, tmp_path, capsys,
+                                                          scale):
+    # finite CM scores so large that Adam's second moment would overflow and
+    # silently freeze the CM weight
+    data = workspace["data"]
+    table = _cm_table(data, tmp_path / "cm_scores.tsv")
+    table.write_text("".join(f"{utt}\t{float(value) * scale!r}\n" for utt, value in
+                             (line.split("\t") for line in table.read_text().splitlines())))
+    capsys.readouterr()
+    assert _run(["baseline", "--kind", "logreg", "--sv-emb", str(data / "sv_embeddings.tsv"),
+                 "--cm-scores", str(table), "--dev-protocol", str(data / "dev_protocol.tsv"),
+                 "--eval-protocol", str(data / "eval_protocol.tsv"),
+                 "--out", str(tmp_path / "b")]) == 3
+    assert capsys.readouterr().err == (
+        "sasv: numeric error: non-finite gradient at flat index 1 (or its square)\n")
+
+
 def test_baseline_with_score_table_reads_no_cm_embeddings(workspace, tmp_path):
     data, model = workspace["data"], workspace["model"]
     table = _cm_table(data, tmp_path / "cm_scores.tsv")
@@ -570,6 +620,63 @@ def test_train_on_overflowing_cm_embeddings_exits_3(workspace, tmp_path, capsys)
             "--epochs", "2", "--out", str(tmp_path / "run")]
     assert _run(args) == 3
     assert "numeric error: batch norm variance overflowed" in capsys.readouterr().err
+
+
+def _scaled(arrays, names, factor):
+    return {name: arrays[name] * factor for name in names}
+
+
+def _with_one(arrays, name, value):
+    array = arrays[name].copy()
+    array.reshape(-1)[0] = value
+    return {name: array}
+
+
+@pytest.mark.parametrize("edit,code,message", [
+    (lambda a: _scaled(a, ["h1.weight"], 1e300), 3,
+     "numeric error: cosine head hit a zero-norm or overflowing vector"),
+    (lambda a: _scaled(a, ["bn.gamma", "h1.weight"], 1e308), 3,
+     "numeric error: cosine head hit a zero-norm or overflowing vector"),
+    (lambda a: _with_one(a, "sv_weight", np.inf), 2,
+     "data error: checkpoint array 'sv_weight' holds a non-finite value"),
+    (lambda a: _with_one(a, "head.direction", np.nan), 2,
+     "data error: checkpoint array 'head.direction' holds a non-finite value"),
+    (lambda a: _with_one(a, "bn.running_mean", -np.inf), 2,
+     "data error: checkpoint array 'bn.running_mean' holds a non-finite value"),
+    (lambda a: _with_one(a, "bn.running_var", -1e-5), 2,
+     "data error: checkpoint array 'bn.running_var' holds a negative variance"),
+], ids=["h1-overflow", "bn-h1-overflow", "inf-sv-weight", "nan-direction",
+        "inf-running-mean", "negative-var"])
+def test_a_checkpoint_of_extreme_values_exits_with_one_line(workspace, tmp_path, capsys,
+                                                            edit, code, message):
+    # each is CRC-valid, and each would otherwise score to 0.0, inf or nan
+    data = workspace["data"]
+    ckpt = load_checkpoint(str(workspace["model"]))
+    ckpt.arrays.update(edit(ckpt.arrays))
+    model = tmp_path / "model.ckpt"
+    model.write_bytes(checkpoint_to_bytes(ckpt))
+    capsys.readouterr()
+    assert _run(["score", "--model", str(model),
+                 "--sv-emb", str(data / "sv_embeddings.tsv"),
+                 "--cm-emb", str(data / "cm_embeddings.tsv"),
+                 "--eval-protocol", str(data / "eval_protocol.tsv"),
+                 "--out", str(tmp_path / "s")]) == code
+    assert capsys.readouterr().err == f"sasv: {message}\n"
+
+
+@pytest.mark.parametrize("error,line", [
+    (MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)"),
+     "Unable to allocate 745. GiB for an array with shape (100000000000,)"),
+    (MemoryError(), "out of memory"),
+], ids=["numpy-message", "bare"])
+def test_running_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, error, line):
+    # raised, never allocated: an overcommitting kernel might grant the memory
+    def generate(cfg):
+        raise error
+    monkeypatch.setattr(cli.synthgen, "generate", generate)
+    capsys.readouterr()
+    assert _run(["synth", "--sv-dim", "100000000000", "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == f"sasv: data error: {line}\n"
 
 
 @pytest.mark.parametrize("setting", [["--loss-scale", "1e308"], ["--lr", "1e300"]])

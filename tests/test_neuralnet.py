@@ -245,6 +245,19 @@ def test_cosine_head_zero_norm_raises():
         head.forward(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("row", [[1e200, 1.0, 1.0], [np.inf, 1.0, 1.0], [np.nan, 1.0, 1.0],
+                                 [1e-200, 0.0, 0.0]],
+                         ids=["overflow", "inf", "nan", "underflow"])
+def test_cosine_head_refuses_norms_out_of_range(row):
+    # e @ e overflows, is not finite or underflows to 0: each would score a
+    # silent 0.0 or nan, so the head's one range test refuses it
+    head = CosineHead(np.ones(3))
+    e = np.array([[0.5, 1.0, -2.0], row])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match="zero-norm or overflowing"):
+        head.forward(e)
+
+
 def test_tape_requires_a_recorded_forward():
     tape = GradientTape()
     with pytest.raises(RuntimeError):

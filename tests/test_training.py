@@ -55,10 +55,12 @@ def test_adam_matches_pure_python_reference():
 def test_adam_rejects_nonfinite_gradient():
     params = np.zeros(2)
     state = AdamState(params)
-    with pytest.raises(NumericError, match="non-finite gradient at flat index 1"):
-        adam_step(state, params, np.array([1.0, float("nan")]), 0.1)
-    # nothing moved: the check runs before the update
-    assert state.t == 0 and not params.any() and not state.m.any()
+    # a NaN, an inf, and a finite gradient whose square overflows
+    for bad in (float("nan"), float("inf"), 1e200):
+        with pytest.raises(NumericError, match="non-finite gradient at flat index 1"):
+            adam_step(state, params, np.array([1.0, bad]), 0.1)
+        # nothing moved: the check runs before the update
+        assert state.t == 0 and not params.any() and not state.m.any() and not state.v.any()
 
 
 def _adam_step_per_array(state, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
