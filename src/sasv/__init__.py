@@ -1,7 +1,7 @@
 """Spoofing-aware speaker verification: score integration, baselines, benchmarks."""
 
-from .core import (DataError, EmbeddingStore, NumericError, Protocol,
-                   ScoreRecord, Trial, TrialLabel, cosine, length_normalize,
+from .core import (DataError, EmbeddingStore, NumericError, Protocol, ScoreRecord,
+                   ScoreTable, Trial, TrialLabel, cosine, length_normalize,
                    load_embeddings, load_protocol, save_embeddings, save_protocol)
 from .loss import OneClassSoftmaxConfig, one_class_softmax
 from .metrics import EerReport, EerResult, eer, sasv_report
@@ -12,7 +12,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DataError", "EmbeddingStore", "NumericError", "Protocol",
-    "ScoreRecord", "Trial", "TrialLabel", "cosine", "length_normalize",
+    "ScoreRecord", "ScoreTable", "Trial", "TrialLabel", "cosine",
+    "length_normalize",
     "load_embeddings", "load_protocol", "save_embeddings", "save_protocol",
     "OneClassSoftmaxConfig", "one_class_softmax",
     "EerReport", "EerResult", "eer", "sasv_report",

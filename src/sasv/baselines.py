@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .core import (DataError, EmbeddingStore, NumericError, Protocol, ScoreRecord,
+from .core import (DataError, EmbeddingStore, NumericError, Protocol, ScoreTable,
                    TrialLabel, _data_lines, check_protocol_ids, load_embeddings,
                    sv_scores, target_mask)
 from .loss import sigmoid
@@ -194,6 +194,9 @@ def fit_logreg(s_sv, s_cm, labels: list[TrialLabel]) -> LogisticFusion:
 
     LOGREG_STEPS full-batch Adam steps at learning rate LOGREG_LR from
     zero-initialized weights; the sigmoid output is the fused score.
+
+    Bit for bit a loop of loss.sigmoid: each step rounds as it does, in its
+    order, into [n] buffers allocated once.
     """
     s_sv, s_cm, is_target = _fit_inputs(s_sv, s_cm, labels, "logreg")
     y = is_target.astype(np.float64)
@@ -201,9 +204,26 @@ def fit_logreg(s_sv, s_cm, labels: list[TrialLabel]) -> LogisticFusion:
     grads = np.empty(3)
     adam = AdamState(params)
     n = y.size
+    u, r, den = np.empty(n), np.empty(n), np.empty(n)
+    nonneg = np.empty(n, dtype=bool)
     for _ in range(LOGREG_STEPS):
-        u = params[0] * s_sv + params[1] * s_cm + params[2]
-        r = (sigmoid(u) - y) / n
+        # u = w_sv * s_sv + w_cm * s_cm + bias
+        np.multiply(s_sv, params[0], out=u)
+        np.multiply(s_cm, params[1], out=r)
+        u += r
+        u += params[2]
+        # r = (sigmoid(u) - y) / n, with sigmoid(u) = where(u >= 0, 1, e) / (1 + e)
+        # and e = exp(-|u|); the where is max(e, u >= 0), the same bits since
+        # 0 <= e <= 1 and a NaN e stays NaN, at about a third of np.copyto's time
+        np.abs(u, out=r)
+        np.negative(r, out=r)
+        np.exp(r, out=r)
+        np.add(r, 1.0, out=den)
+        np.greater_equal(u, 0.0, out=nonneg)
+        np.maximum(r, nonneg, out=r)
+        r /= den
+        r -= y
+        r /= n
         grads[0] = r @ s_sv
         grads[1] = r @ s_cm
         grads[2] = r.sum()
@@ -212,8 +232,8 @@ def fit_logreg(s_sv, s_cm, labels: list[TrialLabel]) -> LogisticFusion:
 
 
 def baseline_records(kind: str, protocol: Protocol, s_sv: np.ndarray,
-                     s_cm: np.ndarray, fitted=None) -> list[ScoreRecord]:
-    """Score records for a fused baseline; the s_spf column carries the CM score."""
+                     s_cm: np.ndarray, fitted=None) -> ScoreTable:
+    """The score table of a fused baseline; the s_spf column carries the CM score."""
     if kind == "sum":
         fused = sum_fusion(s_sv, s_cm)
     elif kind == "cascade":
@@ -222,8 +242,7 @@ def baseline_records(kind: str, protocol: Protocol, s_sv: np.ndarray,
         fused = fitted.probability(s_sv, s_cm)
     else:
         raise DataError(f"unknown baseline kind {kind!r}, expected {BASELINE_KINDS}")
-    return [ScoreRecord(t, float(a), float(b), float(c))
-            for t, a, b, c in zip(protocol.trials, s_sv, s_cm, fused)]
+    return ScoreTable(protocol, s_sv, s_cm, fused)
 
 
 # the kinds fitted on dev, each to the `fitted` that baseline_records takes

@@ -163,10 +163,10 @@ def _load_model_and_stores(model_path: str, args):
 def _score_eval_protocol(args):
     model, sv_store, cm_store = _load_model_and_stores(args.model, args)
     protocol = load_protocol(args.eval_protocol, "eval")
-    records = score_protocol(model, protocol, sv_store, cm_store)
+    table = score_protocol(model, protocol, sv_store, cm_store)
     os.makedirs(args.out, exist_ok=True)
-    metrics.export_scores(records, os.path.join(args.out, "scores.csv"))
-    return records
+    metrics.export_scores(table, os.path.join(args.out, "scores.csv"))
+    return table
 
 
 def cmd_eval(args) -> int:
@@ -175,14 +175,14 @@ def cmd_eval(args) -> int:
                    if getattr(args, name) is not None]
         _require(not ignored, "eval --scores re-reports the score file alone, it takes no "
                  + ", ".join("--" + name.replace("_", "-") for name in ignored))
-        records = metrics.load_scores(args.scores)
+        table = metrics.load_scores(args.scores)
         os.makedirs(args.out, exist_ok=True)
     else:
         _require(args.model and args.sv_emb and args.cm_emb and args.eval_protocol,
                  "eval needs either --scores or all of --model, --sv-emb, "
                  "--cm-emb and --eval-protocol")
-        records = _score_eval_protocol(args)
-    report = metrics.sasv_report(records, args.score_field)
+        table = _score_eval_protocol(args)
+    report = metrics.sasv_report(table, args.score_field)
     metrics.write_eer_report(report, os.path.join(args.out, "eer_report.csv"))
     _write_sidecar(args.out, "eval", args)
     print(metrics.format_eer_report(report))
@@ -190,9 +190,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_score(args) -> int:
-    records = _score_eval_protocol(args)
+    table = _score_eval_protocol(args)
     _write_sidecar(args.out, "score", args)
-    print(f"scored {len(records)} trials")
+    print(f"scored {len(table)} trials")
     return EXIT_OK
 
 
@@ -211,8 +211,9 @@ def cmd_baseline(args) -> int:
     eval_sv = baselines.sv_scores_for(eval_protocol, sv_store)
     eval_cm = source.scores_for(eval_protocol)
 
-    fitted = None
-    os.makedirs(args.out, exist_ok=True)
+    # read, score, fit and report all before the first write, so that a run
+    # which fails leaves no --out behind
+    fitted, ckpt, lines = None, None, []
     if args.dev_protocol:
         dev_protocol = load_protocol(args.dev_protocol, "dev")
         dev_sv = baselines.sv_scores_for(dev_protocol, sv_store)
@@ -220,21 +221,20 @@ def cmd_baseline(args) -> int:
         if fit is not None:
             fitted = fit(dev_sv, dev_cm, [t.label for t in dev_protocol.trials])
             ckpt, line = baselines.fit_outputs(args.kind, fitted)
-            save_checkpoint(ckpt, os.path.join(args.out, "baseline.ckpt"))
-            print(line)
-        dev_records = baselines.baseline_records(args.kind, dev_protocol,
-                                                 dev_sv, dev_cm, fitted)
-        print("dev:")
-        print(metrics.format_eer_report(metrics.sasv_report(dev_records)))
+            lines.append(line)
+        dev_table = baselines.baseline_records(args.kind, dev_protocol,
+                                               dev_sv, dev_cm, fitted)
+        lines += ["dev:", metrics.format_eer_report(metrics.sasv_report(dev_table))]
+    table = baselines.baseline_records(args.kind, eval_protocol, eval_sv, eval_cm, fitted)
+    report = metrics.sasv_report(table)
 
-    records = baselines.baseline_records(args.kind, eval_protocol,
-                                         eval_sv, eval_cm, fitted)
-    metrics.export_scores(records, os.path.join(args.out, "scores.csv"))
-    report = metrics.sasv_report(records)
+    os.makedirs(args.out, exist_ok=True)
+    if ckpt is not None:
+        save_checkpoint(ckpt, os.path.join(args.out, "baseline.ckpt"))
+    metrics.export_scores(table, os.path.join(args.out, "scores.csv"))
     metrics.write_eer_report(report, os.path.join(args.out, "eer_report.csv"))
     _write_sidecar(args.out, "baseline", args)
-    print("eval:")
-    print(metrics.format_eer_report(report))
+    print("\n".join(lines + ["eval:", metrics.format_eer_report(report)]))
     return EXIT_OK
 
 

@@ -103,6 +103,37 @@ class Protocol:
         return out
 
 
+SCORE_FIELDS = ("s_sv", "s_spf", "s_sasv")
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreTable:
+    """The scores of a protocol's trials, in protocol order: one read-only
+    float64 column per score field, each a copy of the column it was given.
+    Iterating it yields one ScoreRecord per trial."""
+
+    protocol: Protocol
+    s_sv: np.ndarray
+    s_spf: np.ndarray
+    s_sasv: np.ndarray
+
+    def __post_init__(self):
+        for name in SCORE_FIELDS:
+            column = np.array(getattr(self, name), dtype=np.float64)
+            if column.shape != (len(self.protocol),):
+                raise DataError(f"{name} has shape {column.shape}, the protocol "
+                                f"has {len(self.protocol)} trials")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.protocol)
+
+    def __iter__(self):
+        return map(ScoreRecord, self.protocol.trials, self.s_sv.tolist(),
+                   self.s_spf.tolist(), self.s_sasv.tolist())
+
+
 # ids that an embedding file cannot hold: empty, or holding a field or line
 # break or a lone surrogate (not UTF-8), or a comment marker after leading
 # whitespace. Searched over many ids at once: the characters in the ids

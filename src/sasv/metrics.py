@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, NumericError, ScoreRecord, Trial, TrialLabel
+from .core import (SCORE_FIELDS, DataError, NumericError, Protocol, ScoreTable, Trial,
+                   TrialLabel)
 
-SCORE_FIELDS = ("s_sv", "s_spf", "s_sasv")
 SCORE_CSV_HEADER = ["enroll_id", "test_id", "label", "s_sv", "s_spf", "s_sasv"]
 EER_CSV_HEADER = ["metric", "eer_percent", "threshold"]
 
@@ -89,13 +89,7 @@ def eer_at_crossing(frr_prev, far_prev, frr_next, far_next):
     return 0.5 * (eer_frr + eer_far), t
 
 
-def _field_values(records: list[ScoreRecord], label: TrialLabel, field: str) -> np.ndarray:
-    return np.asarray(
-        [getattr(r, field) for r in records if r.trial.label is label], dtype=np.float64
-    )
-
-
-def sasv_report(records: list[ScoreRecord], score_field: str = "s_sasv") -> EerReport:
+def sasv_report(table: ScoreTable, score_field: str = "s_sasv") -> EerReport:
     """The three EERs of a scored protocol, all over the chosen score field.
 
     SV-EER discriminates target vs nontarget, SPF-EER target vs spoof, and
@@ -104,11 +98,14 @@ def sasv_report(records: list[ScoreRecord], score_field: str = "s_sasv") -> EerR
     """
     if score_field not in SCORE_FIELDS:
         raise DataError(f"score field must be one of {SCORE_FIELDS}, got {score_field!r}")
-    if not records:
-        raise DataError("cannot report on an empty record list")
-    tar = _field_values(records, TrialLabel.TARGET, score_field)
-    non = _field_values(records, TrialLabel.NONTARGET, score_field)
-    spf = _field_values(records, TrialLabel.SPOOF, score_field)
+    if not len(table):
+        raise DataError("cannot report on an empty score table")
+    # each trial's class, 0 target, 1 nontarget or 2 spoof, in one pass
+    target, nontarget = TrialLabel.TARGET, TrialLabel.NONTARGET
+    code = np.fromiter((0 if t.label is target else 1 if t.label is nontarget else 2
+                        for t in table.protocol.trials), dtype=np.int8, count=len(table))
+    values = getattr(table, score_field)
+    tar, non, spf = (values[code == k] for k in range(3))
     if tar.size == 0:
         raise DataError("protocol has no target trials, no EER is defined")
     if non.size == 0 and spf.size == 0:
@@ -129,15 +126,17 @@ def write_csv(path: str, header, rows) -> None:
             writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
 
 
-def export_scores(records: list[ScoreRecord], path: str) -> None:
-    """Write score records as CSV, every score bit-exact."""
+def export_scores(table: ScoreTable, path: str) -> None:
+    """Write a score table as CSV, every score bit-exact."""
     write_csv(path, SCORE_CSV_HEADER,
-              ([r.trial.enroll_id, r.trial.test_id, str(r.trial.label),
-                r.s_sv, r.s_spf, r.s_sasv] for r in records))
+              ([t.enroll_id, t.test_id, str(t.label), a, b, c]
+               for t, a, b, c in zip(table.protocol.trials, table.s_sv.tolist(),
+                                     table.s_spf.tolist(), table.s_sasv.tolist())))
 
 
-def load_scores(path: str) -> list[ScoreRecord]:
-    records: list[ScoreRecord] = []
+def load_scores(path: str) -> ScoreTable:
+    trials: list[Trial] = []
+    scores: list[list[float]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -154,14 +153,15 @@ def load_scores(path: str) -> list[ScoreRecord]:
                     values = [float(v) for v in row[3:6]]
                 except (DataError, ValueError) as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
-                records.append(ScoreRecord(Trial(row[0], row[1], label), *values))
+                trials.append(Trial(row[0], row[1], label))
+                scores.append(values)
         except UnicodeDecodeError:
             raise DataError(f"{path}: not UTF-8 text") from None
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-    if not records:
+    if not trials:
         raise DataError(f"{path}: no score records found")
-    return records
+    return ScoreTable(Protocol(trials, name=path), *np.array(scores).T)
 
 
 def write_eer_report(report: EerReport, path: str) -> None:

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (DataError, EmbeddingStore, Protocol, ScoreRecord, TrialRows,
+from .core import (DataError, EmbeddingStore, Protocol, ScoreTable, TrialRows,
                    check_protocol_ids, sv_scores)
 from .loss import OneClassSoftmaxConfig, one_class_softmax
 from .neuralnet import (BatchNormLayer, CosineHead, GradientTape, LeakyReluLayer,
@@ -161,11 +161,9 @@ def spoof_scores_for(model: IntegrationModel, rows: TrialRows,
 
 
 def score_protocol(model: IntegrationModel, protocol: Protocol,
-                   sv_store: EmbeddingStore, cm_store: EmbeddingStore) -> list[ScoreRecord]:
+                   sv_store: EmbeddingStore, cm_store: EmbeddingStore) -> ScoreTable:
     """Score every trial in eval mode, in protocol order."""
     rows = check_protocol_ids(protocol, sv_store, cm_store)
     s_sv = sv_scores(rows, sv_store)
     s_spf = spoof_scores_for(model, rows, sv_store, cm_store)
-    s_sasv = model.fuse(s_sv, s_spf)
-    return [ScoreRecord(t, float(a), float(b), float(c))
-            for t, a, b, c in zip(protocol.trials, s_sv, s_spf, s_sasv)]
+    return ScoreTable(protocol, s_sv, s_spf, model.fuse(s_sv, s_spf))

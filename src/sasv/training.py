@@ -152,8 +152,8 @@ def train(model: IntegrationModel, sv_store: EmbeddingStore, cm_store: Embedding
                 loss_sum += batch_loss * idx.size
                 used += idx.size
             train_loss = loss_sum / used
-            dev_records = score_protocol(model, dev_protocol, sv_store, cm_store)
-            report = sasv_report(dev_records)
+            dev_table = score_protocol(model, dev_protocol, sv_store, cm_store)
+            report = sasv_report(dev_table)
             stats = EpochStats(
                 epoch=epoch,
                 train_loss=train_loss,

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sasv import baselines
 from sasv.core import (DataError, EmbeddingStore, NumericError, Protocol, Trial,
                        TrialLabel)
+from sasv.loss import sigmoid
 from sasv.metrics import eer
 from sasv.model import InputMode, IntegrationModel, score_protocol
+from sasv.training import AdamState, adam_step
 
 
 def test_load_cm_scores(tmp_path):
@@ -80,9 +84,8 @@ def test_model_source_matches_protocol_scoring(tiny_dataset):
     protocol = ds.protocols["eval"]
     source = baselines.CmScoreSource.from_model(model, ds.sv_store, ds.cm_store)
     from_source = source.scores_for(protocol)
-    from_records = [r.s_spf for r in score_protocol(model, protocol,
-                                                    ds.sv_store, ds.cm_store)]
-    assert np.array_equal(from_source, from_records)
+    table = score_protocol(model, protocol, ds.sv_store, ds.cm_store)
+    assert from_source.tobytes() == table.s_spf.tobytes()
 
 
 def test_model_source_rejects_enrollment_conditioning(tiny_dataset):
@@ -185,6 +188,66 @@ def test_logreg_separates_and_orients():
     assert np.all((prob > 0.0) & (prob < 1.0))
 
 
+def _fit_logreg_reference(s_sv, s_cm, labels):
+    """fit_logreg's loop as first written: numpy temporaries and adam_step on
+    one [w_sv, w_cm, bias] array."""
+    s_sv = np.asarray(s_sv, dtype=np.float64)
+    s_cm = np.asarray(s_cm, dtype=np.float64)
+    y = np.array([lab is TrialLabel.TARGET for lab in labels], dtype=np.float64)
+    params = np.zeros(3)
+    grads = np.empty(3)
+    adam = AdamState(params)
+    n = y.size
+    for _ in range(baselines.LOGREG_STEPS):
+        u = params[0] * s_sv + params[1] * s_cm + params[2]
+        r = (sigmoid(u) - y) / n
+        grads[0] = r @ s_sv
+        grads[1] = r @ s_cm
+        grads[2] = r.sum()
+        adam_step(adam, params, grads, baselines.LOGREG_LR)
+    return params[:2].copy(), float(params[2])
+
+
+def _outcome(fit, s_sv, s_cm, labels):
+    """The bits of a fit's weights and bias, or the NumericError it raised."""
+    try:
+        weight, bias = fit(s_sv, s_cm, labels)
+    except NumericError as exc:
+        return str(exc)
+    return weight.tobytes(), np.float64(bias).tobytes()
+
+
+MAGNITUDES = [1e-300, 1e-8, 1e-2, 1.0, 30.0, 1e4, 1e100, 1e160, 1e300]
+# at CM scale 1e300, rows whose first CM gradient's square overflows
+OVERFLOWING = [(0.25, 0.5, TrialLabel.NONTARGET)] * 40
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
+                               st.sampled_from(list(TrialLabel))),
+                     min_size=0, max_size=300),
+       scale_sv=st.sampled_from(MAGNITUDES), scale_cm=st.sampled_from(MAGNITUDES))
+@example(rows=OVERFLOWING, scale_sv=1.0, scale_cm=1e300)
+@example(rows=[(0.25, 0.5 + i % 7, TrialLabel(("target", "spoof")[i % 2]))
+               for i in range(2049)], scale_sv=1.0, scale_cm=1.0)
+def test_fit_logreg_matches_the_temporaries_loop(rows, scale_sv, scale_cm):
+    overflows = (rows, scale_cm) == (OVERFLOWING, 1e300)
+    # a target and a spoof first, so that both classes are present
+    rows = [(0.5, 1.0, TrialLabel.TARGET), (-0.5, -1.0, TrialLabel.SPOOF)] + rows
+    s_sv = np.array([r[0] for r in rows]) * scale_sv
+    s_cm = np.array([r[1] for r in rows]) * scale_cm
+    labels = [r[2] for r in rows]
+
+    def fit(*args):
+        fitted = baselines.fit_logreg(*args)
+        return fitted.weight, fitted.bias
+
+    got = _outcome(fit, s_sv, s_cm, labels)
+    assert got == _outcome(_fit_logreg_reference, s_sv, s_cm, labels)
+    if overflows:
+        assert got == "non-finite gradient at flat index 1 (or its square)"
+
+
 def test_logreg_needs_both_classes():
     with pytest.raises(DataError):
         baselines.fit_logreg([1.0, 2.0], [1.0, 2.0],
@@ -207,19 +270,18 @@ def test_baseline_records_columns():
     protocol = _two_trial_protocol()
     s_sv = np.array([0.8, 0.6])
     s_cm = np.array([0.5, -0.5])
-    records = baselines.baseline_records("sum", protocol, s_sv, s_cm)
-    assert [r.trial for r in records] == protocol.trials
-    assert [r.s_sv for r in records] == [0.8, 0.6]
-    assert [r.s_spf for r in records] == [0.5, -0.5]  # CM score rides along
-    assert [r.s_sasv for r in records] == [1.3, 0.6 - 0.5]
+    table = baselines.baseline_records("sum", protocol, s_sv, s_cm)
+    assert table.protocol is protocol
+    assert table.s_sv.tolist() == [0.8, 0.6]
+    assert table.s_spf.tolist() == [0.5, -0.5]  # CM score rides along
+    assert table.s_sasv.tolist() == [1.3, 0.6 - 0.5]
 
     casc = baselines.baseline_records("cascade", protocol, s_sv, s_cm, 0.0)
-    assert casc[0].s_sasv == 0.8
-    assert casc[1].s_sasv == baselines.CASCADE_FLOOR
+    assert casc.s_sasv.tolist() == [0.8, baselines.CASCADE_FLOOR]
 
     fitted = baselines.LogisticFusion(weight=np.array([1.0, 1.0]), bias=0.0)
     lr = baselines.baseline_records("logreg", protocol, s_sv, s_cm, fitted)
-    assert abs(lr[0].s_sasv - 1.0 / (1.0 + np.exp(-1.3))) < 1e-15
+    assert abs(lr.s_sasv[0] - 1.0 / (1.0 + np.exp(-1.3))) < 1e-15
 
     with pytest.raises(DataError, match="unknown baseline"):
         baselines.baseline_records("mean", protocol, s_sv, s_cm)

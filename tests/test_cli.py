@@ -17,7 +17,7 @@ import pytest
 
 from sasv import baselines, cli
 from sasv.checkpoint import Checkpoint, checkpoint_to_bytes, load_checkpoint
-from sasv.core import load_embeddings, load_protocol
+from sasv.core import SCORE_FIELDS, load_embeddings, load_protocol
 from sasv.metrics import load_scores
 from sasv.model import score_protocol
 from sasv.training import model_from_checkpoint
@@ -98,10 +98,10 @@ def test_eval_writes_scores_and_report(workspace, tmp_path, capsys):
     assert (out / "eer_report.csv").exists()
     printed = capsys.readouterr().out
     assert "SASV-EER" in printed and "SV-EER" in printed
-    records = load_scores(str(out / "scores.csv"))
+    table = load_scores(str(out / "scores.csv"))
     eval_lines = [ln for ln in (data / "eval_protocol.tsv").read_text().splitlines()
                   if ln.strip()]
-    assert len(records) == len(eval_lines)
+    assert len(table) == len(eval_lines)
 
 
 def test_eval_protocol_alias(workspace, tmp_path):
@@ -247,6 +247,7 @@ def test_sum_with_a_missing_dev_protocol_exits_2(workspace, tmp_path, capsys):
                  "--out", str(tmp_path / "b")]) == 2
     assert capsys.readouterr().err == (
         f"sasv: data error: [Errno 2] No such file or directory: '{missing}'\n")
+    assert not (tmp_path / "b").exists()  # a failed run writes nothing
 
 
 @pytest.mark.parametrize("scale", [1e300, 1e307])
@@ -265,6 +266,7 @@ def test_a_logreg_gradient_whose_square_overflows_exits_3(workspace, tmp_path, c
                  "--out", str(tmp_path / "b")]) == 3
     assert capsys.readouterr().err == (
         "sasv: numeric error: non-finite gradient at flat index 1 (or its square)\n")
+    assert not (tmp_path / "b").exists()
 
 
 def test_baseline_with_score_table_reads_no_cm_embeddings(workspace, tmp_path):
@@ -517,9 +519,8 @@ def test_normalize_flag_outside_train_exits_1(workspace, tmp_path, value):
         assert _run(command + stores + ["--out", str(tmp_path / f"x{i}")]) == 1, command[0]
 
 
-def _columns(records):
-    return [np.array([getattr(r, f) for r in records]).tobytes()
-            for f in ("s_sv", "s_spf", "s_sasv")]
+def _columns(table):
+    return [getattr(table, name).tobytes() for name in SCORE_FIELDS]
 
 
 def test_normalized_checkpoint_scores_normalized_embeddings(workspace, tmp_path):

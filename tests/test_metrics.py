@@ -13,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from sasv.core import DataError, NumericError, ScoreRecord, Trial, TrialLabel
+from sasv.core import (DataError, NumericError, Protocol, ScoreRecord, ScoreTable, Trial,
+                       TrialLabel)
 from sasv.metrics import (EerReport, EerResult, eer, export_scores,
                           format_eer_report, load_scores, sasv_report,
                           write_eer_report)
@@ -124,22 +125,31 @@ def test_eer_input_validation():
         eer([float("nan")], [0.0])
 
 
-def _records():
-    rows = [
-        ("e1", "t1", TrialLabel.TARGET, 0.9),
-        ("e1", "t2", TrialLabel.TARGET, 0.7),
-        ("e1", "t3", TrialLabel.NONTARGET, 0.2),
-        ("e1", "t4", TrialLabel.NONTARGET, 0.8),
-        ("e1", "t5", TrialLabel.SPOOF, 0.5),
-        ("e1", "t6", TrialLabel.SPOOF, 0.1),
-    ]
-    return [ScoreRecord(Trial(e, t, lab), s_sv=s, s_spf=-s, s_sasv=2 * s)
-            for e, t, lab, s in rows]
+def _table(rows, s_spf=None, s_sasv=None) -> ScoreTable:
+    """A table of (enroll, test, label, s_sv) rows; s_spf and s_sasv default
+    to -s_sv and 2 * s_sv."""
+    s_sv = np.array([s for *_, s in rows], dtype=np.float64)
+    return ScoreTable(Protocol([Trial(e, t, lab) for e, t, lab, _ in rows]), s_sv,
+                      -s_sv if s_spf is None else s_spf,
+                      2 * s_sv if s_sasv is None else s_sasv)
+
+
+ROWS = [
+    ("e1", "t1", TrialLabel.TARGET, 0.9),
+    ("e1", "t2", TrialLabel.TARGET, 0.7),
+    ("e1", "t3", TrialLabel.NONTARGET, 0.2),
+    ("e1", "t4", TrialLabel.NONTARGET, 0.8),
+    ("e1", "t5", TrialLabel.SPOOF, 0.5),
+    ("e1", "t6", TrialLabel.SPOOF, 0.1),
+]
+
+
+def _without(label):
+    return _table([r for r in ROWS if r[2] is not label])
 
 
 def test_sasv_report_matches_direct_eer_calls():
-    records = _records()
-    report = sasv_report(records)
+    report = sasv_report(_table(ROWS))
     tar = [1.8, 1.4]
     non = [0.4, 1.6]
     spf = [1.0, 0.2]
@@ -149,43 +159,102 @@ def test_sasv_report_matches_direct_eer_calls():
 
 
 def test_sasv_report_score_field_selects_column():
-    rows = [("t1", TrialLabel.TARGET, 0.9), ("t2", TrialLabel.TARGET, 0.8),
-            ("t3", TrialLabel.NONTARGET, 0.2), ("t4", TrialLabel.NONTARGET, 0.1)]
-    records = [ScoreRecord(Trial("e1", t, lab), s_sv=s, s_spf=-s, s_sasv=0.0)
-               for t, lab, s in rows]
-    assert sasv_report(records, "s_sv").sv.eer == 0.0
+    rows = [("e1", "t1", TrialLabel.TARGET, 0.9), ("e1", "t2", TrialLabel.TARGET, 0.8),
+            ("e1", "t3", TrialLabel.NONTARGET, 0.2), ("e1", "t4", TrialLabel.NONTARGET, 0.1)]
+    table = _table(rows, s_sasv=np.zeros(4))
+    assert sasv_report(table, "s_sv").sv.eer == 0.0
     # s_spf negates everything, so the ranking inverts completely
-    assert sasv_report(records, "s_spf").sv.eer == 1.0
+    assert sasv_report(table, "s_spf").sv.eer == 1.0
     with pytest.raises(DataError, match="score field"):
-        sasv_report(_records(), "s_cm")
+        sasv_report(_table(ROWS), "s_cm")
 
 
 def test_sasv_report_absent_classes():
-    records = [r for r in _records() if r.trial.label is not TrialLabel.SPOOF]
-    report = sasv_report(records)
+    report = sasv_report(_without(TrialLabel.SPOOF))
     assert report.spf is None
     assert report.sv is not None
+    assert sasv_report(_without(TrialLabel.NONTARGET)).sv is None
     with pytest.raises(DataError, match="no target"):
-        sasv_report([r for r in _records() if r.trial.label is not TrialLabel.TARGET])
+        sasv_report(_without(TrialLabel.TARGET))
     with pytest.raises(DataError, match="empty"):
-        sasv_report([])
-    only_targets = [r for r in _records() if r.trial.label is TrialLabel.TARGET]
+        sasv_report(_table([]))
+    only_targets = _table([r for r in ROWS if r[2] is TrialLabel.TARGET])
     with pytest.raises(DataError, match="no nontarget or spoof"):
         sasv_report(only_targets)
 
 
+def _report_by_records(records, field):
+    """sasv_report over rows: each class's scores gathered record by record."""
+    def values(label):
+        return np.asarray([getattr(r, field) for r in records if r.trial.label is label],
+                          dtype=np.float64)
+    tar, non, spf = (values(label) for label in
+                     (TrialLabel.TARGET, TrialLabel.NONTARGET, TrialLabel.SPOOF))
+    return EerReport(sv=eer(tar, non) if non.size else None,
+                     spf=eer(tar, spf) if spf.size else None,
+                     sasv=eer(tar, np.concatenate([non, spf])))
+
+
+T, N, S = TrialLabel.TARGET, TrialLabel.NONTARGET, TrialLabel.SPOOF
+
+
+@pytest.mark.parametrize("labels", [(T, N, S), (T, S), (T, N), (N, S), (T,)],
+                         ids=["all", "no-nontarget", "no-spoof", "no-target", "only-target"])
+@pytest.mark.parametrize("field", ["s_sv", "s_spf", "s_sasv"])
+def test_sasv_report_matches_a_report_by_records(labels, field):
+    rng = np.random.default_rng(11)
+    n = 500
+    table = ScoreTable(
+        Protocol([Trial(f"e{i % 7}", f"t{i}", labels[int(k)])
+                  for i, k in enumerate(rng.integers(0, len(labels), n))]),
+        rng.normal(size=n), np.round(rng.normal(size=n), 1), rng.normal(size=n) * 1e-300)
+    if T in labels and len(labels) > 1:
+        assert sasv_report(table, field) == _report_by_records(list(table), field)
+    else:  # no EER is defined: both refuse
+        with pytest.raises(DataError):
+            _report_by_records(list(table), field)
+        with pytest.raises(DataError, match="no target" if T not in labels
+                           else "no nontarget or spoof"):
+            sasv_report(table, field)
+
+
+def test_score_table_rows_and_columns():
+    table = _table(ROWS)
+    assert len(table) == len(ROWS)
+    assert list(table) == [ScoreRecord(Trial(e, t, lab), s, -s, 2 * s)
+                           for e, t, lab, s in ROWS]
+    assert all(type(r.s_sv) is float for r in table)
+    for name in ("s_sv", "s_spf", "s_sasv"):
+        column = getattr(table, name)
+        assert column.dtype == np.float64 and not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1.0
+    # the table copies what it is given: the caller's array stays writable
+    given = np.array([0.9, 0.7, 0.2, 0.8, 0.5, 0.1])
+    table = _table(ROWS, s_spf=given)
+    given[0] = 5.0
+    assert table.s_spf[0] == 0.9
+    with pytest.raises(DataError, match=r"s_sasv has shape \(5,\), the protocol has 6"):
+        _table(ROWS, s_sasv=np.zeros(5))
+
+
 def test_score_csv_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(6)
-    records = [
-        ScoreRecord(Trial(f"e{i}", f"t{i}", lab),
-                    float(rng.normal()), float(rng.normal() * 1e-15),
-                    float(rng.normal() * 1e12))
-        for i, lab in enumerate([TrialLabel.TARGET, TrialLabel.NONTARGET,
-                                 TrialLabel.SPOOF] * 5)
-    ]
+    extremes = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+                1.7976931348623157e308]
+    n = 15 + len(extremes)
+    columns = [rng.normal(size=n), rng.normal(size=n) * 1e-15, rng.normal(size=n) * 1e12]
+    for k, column in enumerate(columns):
+        column[15:] = np.roll(extremes, k)
+    labels = [TrialLabel.TARGET, TrialLabel.NONTARGET, TrialLabel.SPOOF]
+    table = ScoreTable(Protocol([Trial(f"e{i}", f"t{i}", labels[i % 3]) for i in range(n)]),
+                       *columns)
     path = tmp_path / "scores.csv"
-    export_scores(records, str(path))
-    assert load_scores(str(path)) == records
+    export_scores(table, str(path))
+    loaded = load_scores(str(path))
+    assert loaded.protocol.trials == table.protocol.trials
+    for name in ("s_sv", "s_spf", "s_sasv"):
+        assert getattr(loaded, name).tobytes() == getattr(table, name).tobytes(), name
 
 
 def test_load_scores_rejects_bad_files(tmp_path):
@@ -210,7 +279,7 @@ def test_load_scores_rejects_bad_files(tmp_path):
 
 
 def test_written_report_keeps_full_precision(tmp_path):
-    report = sasv_report(_records())
+    report = sasv_report(_table(ROWS))
     path = tmp_path / "eer.csv"
     write_eer_report(report, str(path))
     with open(path, newline="") as fh:

@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sasv.core import (DataError, EmbeddingStore, NumericError, Protocol, Trial,
-                       TrialLabel, check_protocol_ids, cosine, sv_scores)
+from sasv.core import (SCORE_FIELDS, DataError, EmbeddingStore, NumericError, Protocol,
+                       Trial, TrialLabel, check_protocol_ids, cosine, sv_scores)
 from sasv.model import (EMBED_DIM, HIDDEN_SIZES, InputMode, IntegrationModel,
                         score_protocol)
 from sasv.neuralnet import GradientTape
@@ -179,19 +179,23 @@ def test_parameter_registry_and_state():
     assert model.bn.running_mean[0] == 7.0 and float(model.sv_weight) == 2.5
 
 
+def _bits(table, rows=slice(None)) -> list[bytes]:
+    return [getattr(table, name)[rows].tobytes() for name in SCORE_FIELDS]
+
+
 def test_score_protocol_is_deterministic_and_batch_invariant():
     model = _model(InputMode.CONCAT_PLUS_ENROLL)
     sv, cm = _stores(n_utts=30)
     protocol = _protocol(600, n_utts=30)  # more distinct pairs than one chunk
     r1 = score_protocol(model, protocol, sv, cm)
-    r2 = score_protocol(model, protocol, sv, cm)
-    assert r1 == r2
-    assert [r.trial for r in r1] == protocol.trials
+    assert r1.protocol is protocol
+    assert _bits(score_protocol(model, protocol, sv, cm)) == _bits(r1)
     # each trial scores the same alone, and in the reversed second half
     for i in (0, 299, 599):
-        assert score_protocol(model, Protocol([protocol.trials[i]]), sv, cm) == [r1[i]]
+        alone = score_protocol(model, Protocol([protocol.trials[i]]), sv, cm)
+        assert _bits(alone) == _bits(r1, slice(i, i + 1))
     tail = Protocol(protocol.trials[:299:-1])
-    assert score_protocol(model, tail, sv, cm) == r1[:299:-1]
+    assert _bits(score_protocol(model, tail, sv, cm)) == _bits(r1, slice(None, 299, -1))
 
 
 def test_score_protocol_checks_ids():

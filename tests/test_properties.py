@@ -76,8 +76,9 @@ def _case(seed: int, mode: InputMode, n_utts: int, n_trials: int):
     return rng, model, sv, cm, Protocol(trials)
 
 
-def _bits(records) -> list[bytes]:
-    return [np.array([r.s_sv, r.s_spf, r.s_sasv]).tobytes() for r in records]
+def _bits(table) -> list[bytes]:
+    """Each trial's three scores, as bytes."""
+    return [row.tobytes() for row in np.column_stack([table.s_sv, table.s_spf, table.s_sasv])]
 
 
 @PROPERTY
@@ -106,7 +107,7 @@ def test_trial_scores_ignore_the_other_trials(seed, mode, n_utts, n_trials):
 def test_model_cm_source_equals_protocol_spoof_scores(seed, mode, n_utts, n_trials):
     _, model, sv, cm, protocol = _case(seed, mode, n_utts, n_trials)
     from_source = CmScoreSource.from_model(model, sv, cm).scores_for(protocol)
-    s_spf = np.array([r.s_spf for r in score_protocol(model, protocol, sv, cm)])
+    s_spf = score_protocol(model, protocol, sv, cm).s_spf
     assert from_source.tobytes() == s_spf.tobytes()
 
 
