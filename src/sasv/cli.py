@@ -163,10 +163,7 @@ def _load_model_and_stores(model_path: str, args):
 def _score_eval_protocol(args):
     model, sv_store, cm_store = _load_model_and_stores(args.model, args)
     protocol = load_protocol(args.eval_protocol, "eval")
-    table = score_protocol(model, protocol, sv_store, cm_store)
-    os.makedirs(args.out, exist_ok=True)
-    metrics.export_scores(table, os.path.join(args.out, "scores.csv"))
-    return table
+    return score_protocol(model, protocol, sv_store, cm_store)
 
 
 def cmd_eval(args) -> int:
@@ -176,13 +173,16 @@ def cmd_eval(args) -> int:
         _require(not ignored, "eval --scores re-reports the score file alone, it takes no "
                  + ", ".join("--" + name.replace("_", "-") for name in ignored))
         table = metrics.load_scores(args.scores)
-        os.makedirs(args.out, exist_ok=True)
     else:
         _require(args.model and args.sv_emb and args.cm_emb and args.eval_protocol,
                  "eval needs either --scores or all of --model, --sv-emb, "
                  "--cm-emb and --eval-protocol")
         table = _score_eval_protocol(args)
+    # reported before the first write, so that a run which fails leaves no --out
     report = metrics.sasv_report(table, args.score_field)
+    os.makedirs(args.out, exist_ok=True)
+    if not args.scores:
+        metrics.export_scores(table, os.path.join(args.out, "scores.csv"))
     metrics.write_eer_report(report, os.path.join(args.out, "eer_report.csv"))
     _write_sidecar(args.out, "eval", args)
     print(metrics.format_eer_report(report))
@@ -191,6 +191,8 @@ def cmd_eval(args) -> int:
 
 def cmd_score(args) -> int:
     table = _score_eval_protocol(args)
+    os.makedirs(args.out, exist_ok=True)
+    metrics.export_scores(table, os.path.join(args.out, "scores.csv"))
     _write_sidecar(args.out, "score", args)
     print(f"scored {len(table)} trials")
     return EXIT_OK

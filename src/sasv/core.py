@@ -8,10 +8,14 @@ File formats are plain UTF-8 text with LF line endings:
 from __future__ import annotations
 
 import math
+import operator
 import re
 from array import array
+from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -65,7 +69,8 @@ class TrialLabel(Enum):
 def target_mask(labels, role: str) -> np.ndarray:
     """Which of the labels are TARGET; `role` names them in the DataError
     raised unless they hold a target and a nontarget or spoof."""
-    mask = np.array([lab is TrialLabel.TARGET for lab in labels], dtype=bool)
+    mask = np.fromiter(map(operator.is_, labels, repeat(TrialLabel.TARGET)), bool,
+                       len(labels))
     if mask.all() or not mask.any():
         raise DataError(f"{role} needs at least one target and one nontarget/spoof trial")
     return mask
@@ -78,8 +83,7 @@ class Trial:
     label: TrialLabel
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
+class ScoreRecord(NamedTuple):
     """One scored trial: the SV cosine, the spoofing score, and their fusion."""
 
     trial: Trial
@@ -97,10 +101,8 @@ class Protocol:
         return len(self.trials)
 
     def counts(self) -> dict[TrialLabel, int]:
-        out = {label: 0 for label in TrialLabel}
-        for t in self.trials:
-            out[t.label] += 1
-        return out
+        counted = Counter(map(operator.attrgetter("label"), self.trials))
+        return {label: counted[label] for label in TrialLabel}
 
 
 SCORE_FIELDS = ("s_sv", "s_spf", "s_sasv")
@@ -110,7 +112,7 @@ SCORE_FIELDS = ("s_sv", "s_spf", "s_sasv")
 class ScoreTable:
     """The scores of a protocol's trials, in protocol order: one read-only
     float64 column per score field, each a copy of the column it was given.
-    Iterating it yields one ScoreRecord per trial."""
+    Iterating it yields one ScoreRecord per trial, each made in C."""
 
     protocol: Protocol
     s_sv: np.ndarray
@@ -130,8 +132,9 @@ class ScoreTable:
         return len(self.protocol)
 
     def __iter__(self):
-        return map(ScoreRecord, self.protocol.trials, self.s_sv.tolist(),
-                   self.s_spf.tolist(), self.s_sasv.tolist())
+        return map(partial(tuple.__new__, ScoreRecord),
+                   zip(self.protocol.trials, self.s_sv.tolist(), self.s_spf.tolist(),
+                       self.s_sasv.tolist()))
 
 
 # ids that an embedding file cannot hold: empty, or holding a field or line
@@ -252,10 +255,24 @@ def length_normalize(values: np.ndarray) -> np.ndarray:
     return length_normalize_rows(vec.reshape(1, -1)).reshape(vec.shape)
 
 
-# rows per block of `cosine_rows`: the scaled copies of a block are all it
-# allocates beyond its result, so a long protocol costs no more memory than
-# the plain formula's one product did
+# rows per block of `cosine_rows` and `sv_scores`: the rows of one block,
+# gathered and scaled, are all they allocate beyond the result, so a long
+# protocol costs no more memory than a few blocks
 _COSINE_BLOCK = 4096
+
+
+def _blocked_cosines(n: int, block_rows) -> np.ndarray:
+    """The clamped cosines of n row pairs, a block at a time: `block_rows`
+    maps a slice of the pairs to their two [b, D] float64 arrays."""
+    cos = np.empty(n)
+    for lo in range(0, n, _COSINE_BLOCK):
+        block = slice(lo, lo + _COSINE_BLOCK)
+        ab, bb = map(_pow2_scaled_rows, block_rows(block))
+        norms = np.sqrt((ab * ab).sum(axis=1)) * np.sqrt((bb * bb).sum(axis=1))
+        if not np.all((norms > 0.0) & (norms < np.inf)):
+            raise NumericError("cosine of a zero-norm or non-finite vector is undefined")
+        cos[block] = (ab * bb).sum(axis=1) / norms
+    return np.clip(cos, -1.0, 1.0, out=cos)
 
 
 def cosine_rows(a, b) -> np.ndarray:
@@ -268,15 +285,7 @@ def cosine_rows(a, b) -> np.ndarray:
     if av.shape != bv.shape or av.ndim != 2:
         raise ValueError(f"cosine_rows needs two [N, D] arrays of one shape, got "
                          f"{av.shape} and {bv.shape}")
-    cos = np.empty(len(av))
-    for lo in range(0, len(av), _COSINE_BLOCK):
-        block = slice(lo, lo + _COSINE_BLOCK)
-        ab, bb = _pow2_scaled_rows(av[block]), _pow2_scaled_rows(bv[block])
-        norms = np.sqrt((ab * ab).sum(axis=1)) * np.sqrt((bb * bb).sum(axis=1))
-        if not np.all((norms > 0.0) & (norms < np.inf)):
-            raise NumericError("cosine of a zero-norm or non-finite vector is undefined")
-        cos[block] = (ab * bb).sum(axis=1) / norms
-    return np.clip(cos, -1.0, 1.0, out=cos)
+    return _blocked_cosines(len(av), lambda block: (av[block], bv[block]))
 
 
 def cosine(a, b) -> float:
@@ -388,19 +397,24 @@ def save_protocol(protocol: Protocol, path: str) -> None:
             fh.write(f"{t.enroll_id}\t{t.test_id}\t{t.label}\n")
 
 
+def _resolve(store: EmbeddingStore, ids: list[str]) -> np.ndarray:
+    """The store row of each id, -1 where it has none, made in C."""
+    return np.fromiter(map(store.index.get, ids, repeat(-1)), np.intp, len(ids))
+
+
 def check_protocol_ids(protocol: Protocol, sv_store: EmbeddingStore,
                        cm_store: EmbeddingStore | None) -> TrialRows:
     """Resolve every trial to store rows: enroll in the SV store, test in the
     SV and CM stores. The first id that does not resolve, in trial order and
     within a trial in that order, is a DataError."""
-    trials, sv = protocol.trials, sv_store.index
-    enroll = np.array([sv.get(t.enroll_id, -1) for t in trials], dtype=np.intp)
-    test = np.array([sv.get(t.test_id, -1) for t in trials], dtype=np.intp)
+    trials = protocol.trials
+    test_ids = [t.test_id for t in trials]
+    enroll = _resolve(sv_store, [t.enroll_id for t in trials])
+    test = _resolve(sv_store, test_ids)
     test_cm = None
     missing = (enroll < 0) | (test < 0)
     if cm_store is not None:
-        cm = cm_store.index
-        test_cm = np.array([cm.get(t.test_id, -1) for t in trials], dtype=np.intp)
+        test_cm = _resolve(cm_store, test_ids)
         missing |= test_cm < 0
     if missing.any():
         idx = int(np.argmax(missing))
@@ -412,5 +426,9 @@ def check_protocol_ids(protocol: Protocol, sv_store: EmbeddingStore,
 
 
 def sv_scores(rows: TrialRows, sv_store: EmbeddingStore) -> np.ndarray:
-    """The frozen SV cosine of each resolved trial."""
-    return cosine_rows(sv_store.matrix[rows.enroll], sv_store.matrix[rows.test])
+    """The frozen SV cosine of each resolved trial, as `cosine_rows` of the
+    enrollment and test rows: each block's rows are gathered from the store
+    as it is reached."""
+    matrix, enroll, test = sv_store.matrix, rows.enroll, rows.test
+    return _blocked_cosines(len(test), lambda block: (matrix[enroll[block]],
+                                                      matrix[test[block]]))

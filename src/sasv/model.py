@@ -143,20 +143,26 @@ def spoof_scores_for(model: IntegrationModel, rows: TrialRows,
     The net runs once per distinct input -- per test utterance, or per
     (enrollment, test) pair when the mode uses the enrollment -- on chunks of
     exactly SCORE_BATCH rows, the last one padded by repeating its last row,
-    and the results are gathered back to the trials.
+    each chunk's inputs gathered from the stores as it is reached, and the
+    results are gathered back to the trials.
     """
     if len(rows.test) == 0:
         raise DataError("cannot score an empty protocol")
     keys = (np.stack([rows.enroll, rows.test], axis=1) if model.mode.uses_enrollment
             else rows.test)
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    x = model.assemble_batch(TrialRows(*(r[first] for r in rows)), sv_store, cm_store)
-    x = np.concatenate([x, np.repeat(x[-1:], -len(x) % SCORE_BATCH, axis=0)])
+    # the trials to run, padded with the last; each chunk's inputs are
+    # assembled from its own rows, so no [U, input_dim] matrix is made
+    first = np.concatenate([first, np.repeat(first[-1:], -len(first) % SCORE_BATCH)])
+    s_spf = np.empty(len(first))
     # as in training: an overflow or invalid value reaches the cosine head's
     # range check, a NumericError, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        s_spf = np.concatenate([model.spoof_scores(x[i:i + SCORE_BATCH])
-                                for i in range(0, len(x), SCORE_BATCH)])
+        for lo in range(0, len(first), SCORE_BATCH):
+            chunk = first[lo:lo + SCORE_BATCH]
+            x = model.assemble_batch(TrialRows(*(r[chunk] for r in rows)),
+                                     sv_store, cm_store)
+            s_spf[lo:lo + SCORE_BATCH] = model.spoof_scores(x)
     return s_spf[inverse]
 
 

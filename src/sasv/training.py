@@ -4,7 +4,8 @@ Adam with bias-corrected moments, a seeded reshuffle every epoch, and best-epoch
 selection on dev SASV-EER (ties keep the earlier epoch). Training stops after
 the first epoch of dev SASV-EER 0.0, since no later epoch can then be chosen.
 The SV cosine inputs are computed once up front since the subsystem embeddings
-are frozen.
+are frozen; each batch's net inputs are gathered from the stores as it is
+reached, so no [N, input_dim] copy of the training protocol is made.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from dataclasses import asdict, astuple, dataclass, fields
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .core import (DataError, EmbeddingStore, NumericError, Protocol, check_int_fields,
-                   check_protocol_ids, is_integer, sv_scores, target_mask)
+from .core import (DataError, EmbeddingStore, NumericError, Protocol, TrialRows,
+                   check_int_fields, check_protocol_ids, is_integer, sv_scores,
+                   target_mask)
 from .loss import OneClassSoftmaxConfig
 from .metrics import sasv_report, write_csv
 from .model import HIDDEN_SIZES, InputMode, IntegrationModel, score_protocol
@@ -88,7 +90,9 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
     m, v, step = state.m, state.v, state._step
     with np.errstate(over="ignore"):  # an overflowing square is the error below
         np.square(grads, out=step)
-    if not np.isfinite(step).all():  # g**2 is finite exactly when g is and it fits
+    # g**2 >= 0 is finite exactly when g is and it fits, so one max finds a
+    # NaN, an inf or an overflow anywhere
+    if not step.max() < np.inf:
         bad = int(np.flatnonzero(~np.isfinite(step))[0])
         raise NumericError(f"non-finite gradient at flat index {bad} (or its square)")
     state.t += 1
@@ -118,10 +122,10 @@ def train(model: IntegrationModel, sv_store: EmbeddingStore, cm_store: Embedding
     is_target = target_mask([t.label for t in train_protocol.trials], "train protocol")
     target_mask([t.label for t in dev_protocol.trials], "dev protocol")
     rows = check_protocol_ids(train_protocol, sv_store, cm_store)
+    enroll, test, test_cm = rows
     check_protocol_ids(dev_protocol, sv_store, cm_store)
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    x_all = model.assemble_batch(rows, sv_store, cm_store)
     s_sv_all = sv_scores(rows, sv_store)
     z_all = (~is_target).astype(np.int64)  # the loss's class index: 0 = target
     n = len(train_protocol)
@@ -144,8 +148,9 @@ def train(model: IntegrationModel, sv_store: EmbeddingStore, cm_store: Embedding
                 idx = order[start:start + cfg.batch_size]
                 if idx.size < 2:
                     continue  # a leftover single trial cannot be batch-normalized
-                batch_loss = model.training_loss(x_all[idx], s_sv_all[idx], z_all[idx],
-                                                 loss_cfg)
+                x = model.assemble_batch(TrialRows(enroll[idx], test[idx], test_cm[idx]),
+                                         sv_store, cm_store)
+                batch_loss = model.training_loss(x, s_sv_all[idx], z_all[idx], loss_cfg)
                 if not math.isfinite(batch_loss):
                     raise NumericError(f"non-finite loss at epoch {epoch}")
                 adam_step(adam, params.data, params.grad, cfg.learning_rate)

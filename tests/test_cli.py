@@ -167,6 +167,29 @@ def test_score_matches_eval_scores(workspace, tmp_path):
                        shallow=False)
 
 
+def test_an_eval_that_cannot_report_exits_2_and_leaves_no_out(workspace, tmp_path, capsys):
+    """eval reports before it writes: a protocol or score file without
+    targets has no EER, and the run leaves no --out behind."""
+    data = workspace["data"]
+    no_targets = tmp_path / "no_targets.tsv"
+    no_targets.write_text("".join(
+        line + "\n" for line in (data / "eval_protocol.tsv").read_text().splitlines()
+        if line.strip() and not line.endswith("\ttarget")))
+    common = ["--model", str(workspace["model"]),
+              "--sv-emb", str(data / "sv_embeddings.tsv"),
+              "--cm-emb", str(data / "cm_embeddings.tsv"),
+              "--eval-protocol", str(no_targets)]
+    # score writes what it scores, targets or none
+    assert _run(["score"] + common + ["--out", str(tmp_path / "scored")]) == 0
+    scores = tmp_path / "scored" / "scores.csv"
+    assert ",target," not in scores.read_text()
+    for argv in (["eval"] + common, ["eval", "--scores", str(scores)]):
+        capsys.readouterr()
+        assert _run(argv + ["--out", str(tmp_path / "e")]) == 2, argv
+        assert "no target" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists(), argv
+
+
 def test_baseline_with_cm_model(workspace, tmp_path):
     data, model = workspace["data"], workspace["model"]
     out = tmp_path / "bl"

@@ -13,8 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from sasv.core import (DataError, NumericError, Protocol, ScoreRecord, ScoreTable, Trial,
-                       TrialLabel)
+from sasv.core import (SCORE_FIELDS, DataError, NumericError, Protocol, ScoreRecord,
+                       ScoreTable, Trial, TrialLabel)
 from sasv.metrics import (EerReport, EerResult, eer, export_scores,
                           format_eer_report, load_scores, sasv_report,
                           write_eer_report)
@@ -216,6 +216,23 @@ def test_sasv_report_matches_a_report_by_records(labels, field):
         with pytest.raises(DataError, match="no target" if T not in labels
                            else "no nontarget or spoof"):
             sasv_report(table, field)
+
+
+def test_score_table_rows_are_records_of_the_columns_bits():
+    rng = np.random.default_rng(5)
+    n = 300
+    labels = list(TrialLabel)
+    table = ScoreTable(
+        Protocol([Trial(f"e{i % 4}", f"t{i}", labels[i % 3]) for i in range(n)]),
+        np.concatenate([[-0.0, 5e-324], rng.normal(size=n - 2)]),
+        rng.normal(size=n) * 1e300, rng.normal(size=n) * 1e-300)
+    rows = list(table)
+    assert rows == list(table)  # a second pass gives the same rows
+    assert all(type(r) is ScoreRecord for r in rows)
+    assert all(r.trial is t for r, t in zip(rows, table.protocol.trials, strict=True))
+    for name in SCORE_FIELDS:
+        column = np.array([getattr(r, name) for r in rows])
+        assert column.tobytes() == getattr(table, name).tobytes(), name
 
 
 def test_score_table_rows_and_columns():

@@ -3,7 +3,8 @@
 A trial's scores must depend on that trial alone, whatever other trials share
 its protocol; the CM scores of a model source must equal the spoofing scores
 of protocol scoring; ids must resolve to the rows, or fail at the first
-missing id, that a per-trial loop gives; any id a store accepts must survive
+missing id, that a per-trial loop gives, and the target mask and the label
+counts must be those of per-trial loops; any id a store accepts must survive
 a save and load; a store built from all of its rows must hold what the
 per-row reference store holds after adding them one by one, or fail where it
 first fails; and the bulk embedding loader must load what the line-by-line
@@ -43,7 +44,7 @@ from sasv.baselines import (CmScoreSource, _gated_prefix_eers, cascade_scores,
 from sasv.checkpoint import Checkpoint, checkpoint_from_bytes, checkpoint_to_bytes
 from sasv.core import (DataError, EmbeddingStore, NumericError, Protocol, Trial, TrialLabel,
                        TrialRows, check_protocol_ids, cosine_rows, load_embeddings,
-                       load_protocol, save_embeddings)
+                       load_protocol, save_embeddings, target_mask)
 from sasv.loss import OneClassSoftmaxConfig
 from sasv.metrics import SCORE_CSV_HEADER, eer, load_scores
 from sasv.model import InputMode, IntegrationModel, score_protocol
@@ -162,6 +163,36 @@ def test_check_protocol_ids_equals_the_per_trial_loop(pairs, sv_ids, cm_ids):
     for a, b in zip(got, want):
         if b is not None:
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _per_trial_target_mask(labels) -> np.ndarray:
+    """`target_mask`'s mask as it was made before: one comparison per label."""
+    return np.array([lab is TrialLabel.TARGET for lab in labels], dtype=bool)
+
+
+def _per_trial_counts(protocol) -> dict[TrialLabel, int]:
+    """`Protocol.counts` as it was before: one dict update per trial."""
+    out = {label: 0 for label in TrialLabel}
+    for t in protocol.trials:
+        out[t.label] += 1
+    return out
+
+
+@settings(PROPERTY, max_examples=200)
+@given(labels=st.lists(st.sampled_from(LABELS), max_size=40))
+@example(labels=[])
+def test_target_mask_and_counts_equal_the_per_trial_loops(labels):
+    """The same counts, in label order, and the same mask or the same refusal."""
+    protocol = Protocol([Trial("e", "t", label) for label in labels])
+    got, want = protocol.counts(), _per_trial_counts(protocol)
+    assert list(got.items()) == list(want.items())
+    mask = _per_trial_target_mask(labels)
+    if mask.all() or not mask.any():
+        with pytest.raises(DataError, match="^x needs at least one target"):
+            target_mask(labels, "x")
+    else:
+        got_mask = target_mask(labels, "x")
+        assert got_mask.dtype == mask.dtype and np.array_equal(got_mask, mask)
 
 
 @PROPERTY

@@ -55,8 +55,8 @@ def test_adam_matches_pure_python_reference():
 def test_adam_rejects_nonfinite_gradient():
     params = np.zeros(2)
     state = AdamState(params)
-    # a NaN, an inf, and a finite gradient whose square overflows
-    for bad in (float("nan"), float("inf"), 1e200):
+    # a NaN, either inf, and finite gradients whose squares overflow
+    for bad in (float("nan"), float("inf"), -float("inf"), 1e155, -1e155, 1e200):
         with pytest.raises(NumericError, match="non-finite gradient at flat index 1"):
             adam_step(state, params, np.array([1.0, bad]), 0.1)
         # nothing moved: the check runs before the update
