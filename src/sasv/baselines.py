@@ -14,17 +14,19 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .core import (DataError, EmbeddingStore, NumericError, Protocol, ScoreTable,
-                   TrialLabel, _data_lines, check_protocol_ids, load_embeddings,
-                   sv_scores, target_mask)
+                   TrialLabel, _data_lines, _pow2_exponents, check_protocol_ids,
+                   load_embeddings, sv_scores, target_mask)
 from .loss import sigmoid
 from .metrics import eer, eer_at_crossing
 from .model import IntegrationModel, spoof_scores_for
-from .training import AdamState, adam_step
 
 BASELINE_KINDS = ("sum", "cascade", "logreg")
 CASCADE_FLOOR = -2.0  # the score of a CM-gated trial, below the cosine range [-1, 1]
-LOGREG_STEPS = 1000
-LOGREG_LR = 1e-2
+LOGREG_L2 = 1e-3  # the penalty on the scaled-score weights; the bias has none
+LOGREG_TOL = 1e-10  # the fit stops once max|grad J| is at most this
+LOGREG_MAX_STEPS = 50  # Newton steps past which the fit is a NumericError
+LOGREG_ARMIJO = 1e-4  # the sufficient decrease, as a share of the slope
+LOGREG_HALVINGS = 60  # line-search halvings per step before it gives up
 
 
 def load_cm_scores(path: str) -> EmbeddingStore:
@@ -190,45 +192,71 @@ class LogisticFusion:
 
 
 def fit_logreg(s_sv, s_cm, labels: list[TrialLabel]) -> LogisticFusion:
-    """Binary logistic regression (target = 1) on the two scores.
+    """Binary logistic regression (target = 1) on the two scores, L2-regularised.
 
-    LOGREG_STEPS full-batch Adam steps at learning rate LOGREG_LR from
-    zero-initialized weights; the sigmoid output is the fused score.
+    Each score column is first scaled by the power of two that brings its
+    max |value| into [0.5, 1) (exact), giving x_sv and x_cm. The fit minimises
 
-    Bit for bit a loop of loss.sigmoid: each step rounds as it does, in its
-    order, into [n] buffers allocated once.
+        J(v) = mean_i[softplus(u_i) - y_i * u_i] + (LOGREG_L2 / 2) * (v_sv^2 + v_cm^2),
+        u_i = v_sv * x_sv,i + v_cm * x_cm,i + b,
+
+    with the bias unpenalised, by damped Newton from zero: the step solves the
+    3x3 Hessian system and an Armijo backtracking search on J damps it. The
+    search evaluates J(v + t*d) - J(v) term by term, as
+    log1p(expm1(dz_i) * sigmoid(z_i)) with z_i the trial's loss argument, so
+    it resolves decreases far below J's own rounding. The fit stops once
+    max|grad J| <= LOGREG_TOL and is a NumericError past LOGREG_MAX_STEPS
+    steps. The weights are scaled back to the raw scores, so w * s = v * x.
+
+    Every sum over trials is an np.add.reduce of elementwise products, never
+    a BLAS dot, so the result does not depend on the BLAS thread count.
     """
     s_sv, s_cm, is_target = _fit_inputs(s_sv, s_cm, labels, "logreg")
-    y = is_target.astype(np.float64)
-    params = np.zeros(3)  # [w_sv, w_cm, bias]
-    grads = np.empty(3)
-    adam = AdamState(params)
-    n = y.size
-    u, r, den = np.empty(n), np.empty(n), np.empty(n)
-    nonneg = np.empty(n, dtype=bool)
-    for _ in range(LOGREG_STEPS):
-        # u = w_sv * s_sv + w_cm * s_cm + bias
-        np.multiply(s_sv, params[0], out=u)
-        np.multiply(s_cm, params[1], out=r)
-        u += r
-        u += params[2]
-        # r = (sigmoid(u) - y) / n, with sigmoid(u) = where(u >= 0, 1, e) / (1 + e)
-        # and e = exp(-|u|); the where is max(e, u >= 0), the same bits since
-        # 0 <= e <= 1 and a NaN e stays NaN, at about a third of np.copyto's time
-        np.abs(u, out=r)
-        np.negative(r, out=r)
-        np.exp(r, out=r)
-        np.add(r, 1.0, out=den)
-        np.greater_equal(u, 0.0, out=nonneg)
-        np.maximum(r, nonneg, out=r)
-        r /= den
-        r -= y
-        r /= n
-        grads[0] = r @ s_sv
-        grads[1] = r @ s_cm
-        grads[2] = r.sum()
-        adam_step(adam, params, grads, LOGREG_LR)
-    return LogisticFusion(weight=params[:2].copy(), bias=float(params[2]))
+    columns = np.stack([s_sv, s_cm])
+    shift = _pow2_exponents(columns)[:, 0]
+    x = np.ldexp(columns, -shift[:, None])
+    # loss_i = softplus(z_i) with z_i = sign_i * u_i: the -y_i * u_i folded in
+    sign = np.where(is_target, -1.0, 1.0)
+    features = np.vstack([x, np.ones(sign.size)])  # [x_sv, x_cm, 1] per trial
+    penalty = np.array([LOGREG_L2, LOGREG_L2, 0.0])
+    params = np.zeros(3)  # [v_sv, v_cm, bias]
+
+    def mean(values):
+        return np.add.reduce(values, axis=-1) / sign.size
+
+    for step in range(LOGREG_MAX_STEPS + 1):
+        z = sign * (params[0] * x[0] + params[1] * x[1] + params[2])
+        e = np.exp(-np.abs(z))
+        q = np.maximum(e, z >= 0.0) / (1.0 + e)  # sigmoid(z)
+        grad = mean(sign * q * features) + penalty * params
+        if np.abs(grad).max() <= LOGREG_TOL:
+            break
+        if step == LOGREG_MAX_STEPS:
+            raise NumericError(f"logreg fit did not converge in {LOGREG_MAX_STEPS} "
+                               f"Newton steps (max |gradient| {np.abs(grad).max():.3g})")
+        curvature = e / ((1.0 + e) * (1.0 + e))  # sigmoid'(u)
+        hessian = mean(curvature * features[:, None] * features) + np.diag(penalty)
+        # J is strictly convex, so the Hessian is positive definite and the
+        # Newton direction descends; a NaN one fails the line search below
+        direction = -np.linalg.solve(hessian, grad)
+        slope = float(np.add.reduce(grad * direction))
+        dz = sign * (direction[0] * x[0] + direction[1] * x[1] + direction[2])
+        weights, dw = params[:2], direction[:2]
+        t = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):  # a NaN change is refused
+            for _ in range(LOGREG_HALVINGS):
+                change = (mean(np.log1p(np.expm1(t * dz) * q))
+                          + LOGREG_L2 * t * float(np.add.reduce(weights * dw + t / 2 * dw * dw)))
+                if change <= LOGREG_ARMIJO * t * slope:
+                    break
+                t /= 2.0
+            else:
+                raise NumericError("logreg line search found no decrease")
+        params = params + t * direction
+    weight = np.ldexp(params[:2], -shift)
+    if not np.all(np.isfinite(weight)):
+        raise NumericError("logreg weight overflows at the scale of its scores")
+    return LogisticFusion(weight=weight, bias=float(params[2]))
 
 
 def baseline_records(kind: str, protocol: Protocol, s_sv: np.ndarray,

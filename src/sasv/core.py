@@ -76,8 +76,9 @@ def target_mask(labels, role: str) -> np.ndarray:
     return mask
 
 
-@dataclass(frozen=True)
-class Trial:
+class Trial(NamedTuple):
+    """One protocol line: the enrollment id, the test id and the label."""
+
     enroll_id: str
     test_id: str
     label: TrialLabel
@@ -225,13 +226,18 @@ class TrialRows(NamedTuple):
     test_cm: np.ndarray | None
 
 
+def _pow2_exponents(rows: np.ndarray) -> np.ndarray:
+    """The [N, 1] exponent of each row's max-abs: times 2**-exponent, that
+    max-abs lies in [0.5, 1). A zero or non-finite row's exponent is 0."""
+    return np.frexp(np.abs(rows).max(axis=1, keepdims=True, initial=0.0))[1]
+
+
 def _pow2_scaled_rows(rows: np.ndarray) -> np.ndarray:
     """Each row times the power of two that brings its max-abs into [0.5, 1),
     so its sum of squares can neither overflow nor underflow. The scaling is
     exact, so a cosine computed from the result keeps the plain formula's bits
     wherever that formula was in range. A zero or non-finite row is left as is."""
-    _, exponent = np.frexp(np.abs(rows).max(axis=1, keepdims=True, initial=0.0))
-    return np.ldexp(rows, -exponent)
+    return np.ldexp(rows, -_pow2_exponents(rows))
 
 
 def length_normalize_rows(rows: np.ndarray) -> np.ndarray:
@@ -255,18 +261,20 @@ def length_normalize(values: np.ndarray) -> np.ndarray:
     return length_normalize_rows(vec.reshape(1, -1)).reshape(vec.shape)
 
 
-# rows per block of `cosine_rows` and `sv_scores`: the rows of one block,
-# gathered and scaled, are all they allocate beyond the result, so a long
+# values per block of `cosine_rows` and `sv_scores`, each block holding
+# max(1, _COSINE_BLOCK_VALUES // D) row pairs: the rows of one block, gathered
+# and scaled, are all they allocate beyond the result, so a long or wide
 # protocol costs no more memory than a few blocks
-_COSINE_BLOCK = 4096
+_COSINE_BLOCK_VALUES = 65_536
 
 
-def _blocked_cosines(n: int, block_rows) -> np.ndarray:
-    """The clamped cosines of n row pairs, a block at a time: `block_rows`
-    maps a slice of the pairs to their two [b, D] float64 arrays."""
+def _blocked_cosines(n: int, width: int, block_rows) -> np.ndarray:
+    """The clamped cosines of n row pairs of `width` values, a block at a time:
+    `block_rows` maps a slice of the pairs to their two [b, width] float64 arrays."""
     cos = np.empty(n)
-    for lo in range(0, n, _COSINE_BLOCK):
-        block = slice(lo, lo + _COSINE_BLOCK)
+    size = max(1, _COSINE_BLOCK_VALUES // max(width, 1))
+    for lo in range(0, n, size):
+        block = slice(lo, lo + size)
         ab, bb = map(_pow2_scaled_rows, block_rows(block))
         norms = np.sqrt((ab * ab).sum(axis=1)) * np.sqrt((bb * bb).sum(axis=1))
         if not np.all((norms > 0.0) & (norms < np.inf)):
@@ -285,7 +293,7 @@ def cosine_rows(a, b) -> np.ndarray:
     if av.shape != bv.shape or av.ndim != 2:
         raise ValueError(f"cosine_rows needs two [N, D] arrays of one shape, got "
                          f"{av.shape} and {bv.shape}")
-    return _blocked_cosines(len(av), lambda block: (av[block], bv[block]))
+    return _blocked_cosines(len(av), av.shape[1], lambda block: (av[block], bv[block]))
 
 
 def cosine(a, b) -> float:
@@ -430,5 +438,5 @@ def sv_scores(rows: TrialRows, sv_store: EmbeddingStore) -> np.ndarray:
     enrollment and test rows: each block's rows are gathered from the store
     as it is reached."""
     matrix, enroll, test = sv_store.matrix, rows.enroll, rows.test
-    return _blocked_cosines(len(test), lambda block: (matrix[enroll[block]],
-                                                      matrix[test[block]]))
+    return _blocked_cosines(len(test), sv_store.dimension,
+                            lambda block: (matrix[enroll[block]], matrix[test[block]]))

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import math
+import os
+import subprocess
+import sys
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,10 +14,8 @@ from hypothesis import strategies as st
 from sasv import baselines
 from sasv.core import (DataError, EmbeddingStore, NumericError, Protocol, Trial,
                        TrialLabel)
-from sasv.loss import sigmoid
 from sasv.metrics import eer
 from sasv.model import InputMode, IntegrationModel, score_protocol
-from sasv.training import AdamState, adam_step
 
 
 def test_load_cm_scores(tmp_path):
@@ -188,64 +192,123 @@ def test_logreg_separates_and_orients():
     assert np.all((prob > 0.0) & (prob < 1.0))
 
 
-def _fit_logreg_reference(s_sv, s_cm, labels):
-    """fit_logreg's loop as first written: numpy temporaries and adam_step on
-    one [w_sv, w_cm, bias] array."""
-    s_sv = np.asarray(s_sv, dtype=np.float64)
-    s_cm = np.asarray(s_cm, dtype=np.float64)
-    y = np.array([lab is TrialLabel.TARGET for lab in labels], dtype=np.float64)
-    params = np.zeros(3)
-    grads = np.empty(3)
-    adam = AdamState(params)
-    n = y.size
-    for _ in range(baselines.LOGREG_STEPS):
-        u = params[0] * s_sv + params[1] * s_cm + params[2]
-        r = (sigmoid(u) - y) / n
-        grads[0] = r @ s_sv
-        grads[1] = r @ s_cm
-        grads[2] = r.sum()
-        adam_step(adam, params, grads, baselines.LOGREG_LR)
-    return params[:2].copy(), float(params[2])
-
-
-def _outcome(fit, s_sv, s_cm, labels):
-    """The bits of a fit's weights and bias, or the NumericError it raised."""
-    try:
-        weight, bias = fit(s_sv, s_cm, labels)
-    except NumericError as exc:
-        return str(exc)
-    return weight.tobytes(), np.float64(bias).tobytes()
-
-
 MAGNITUDES = [1e-300, 1e-8, 1e-2, 1.0, 30.0, 1e4, 1e100, 1e160, 1e300]
-# at CM scale 1e300, rows whose first CM gradient's square overflows
-OVERFLOWING = [(0.25, 0.5, TrialLabel.NONTARGET)] * 40
+LOGREG_ROWS = st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
+                                 st.sampled_from(list(TrialLabel))),
+                       min_size=0, max_size=200)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(rows=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
-                               st.sampled_from(list(TrialLabel))),
-                     min_size=0, max_size=300),
-       scale_sv=st.sampled_from(MAGNITUDES), scale_cm=st.sampled_from(MAGNITUDES))
-@example(rows=OVERFLOWING, scale_sv=1.0, scale_cm=1e300)
-@example(rows=[(0.25, 0.5 + i % 7, TrialLabel(("target", "spoof")[i % 2]))
-               for i in range(2049)], scale_sv=1.0, scale_cm=1.0)
-def test_fit_logreg_matches_the_temporaries_loop(rows, scale_sv, scale_cm):
-    overflows = (rows, scale_cm) == (OVERFLOWING, 1e300)
+def _fit_data(rows, scale_sv, scale_cm):
     # a target and a spoof first, so that both classes are present
     rows = [(0.5, 1.0, TrialLabel.TARGET), (-0.5, -1.0, TrialLabel.SPOOF)] + rows
-    s_sv = np.array([r[0] for r in rows]) * scale_sv
-    s_cm = np.array([r[1] for r in rows]) * scale_cm
-    labels = [r[2] for r in rows]
+    return (np.array([r[0] for r in rows]) * scale_sv,
+            np.array([r[1] for r in rows]) * scale_cm, [r[2] for r in rows])
 
-    def fit(*args):
-        fitted = baselines.fit_logreg(*args)
-        return fitted.weight, fitted.bias
 
-    got = _outcome(fit, s_sv, s_cm, labels)
-    assert got == _outcome(_fit_logreg_reference, s_sv, s_cm, labels)
-    if overflows:
-        assert got == "non-finite gradient at flat index 1 (or its square)"
+LAMBDA = mpmath.mpf(baselines.LOGREG_L2)
+
+
+def _mp_objective(x, y, v):
+    """J at v = [v_sv, v_cm, bias] on the scaled columns x, and its gradient,
+    in mpmath."""
+    n = len(y)
+    u = [v[0] * a + v[1] * b + v[2] for a, b in zip(*x)]
+    loss = mpmath.fsum(mpmath.log1p(mpmath.exp(ui)) - yi * ui for ui, yi in zip(u, y)) / n
+    residual = [1 / (1 + mpmath.exp(-ui)) - yi for ui, yi in zip(u, y)]
+    grad = [mpmath.fsum(r * a for r, a in zip(residual, x[0])) / n + LAMBDA * v[0],
+            mpmath.fsum(r * b for r, b in zip(residual, x[1])) / n + LAMBDA * v[1],
+            mpmath.fsum(residual) / n]
+    return loss + LAMBDA / 2 * (v[0] ** 2 + v[1] ** 2), grad
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(rows=LOGREG_ROWS, scale_sv=st.sampled_from(MAGNITUDES),
+       scale_cm=st.sampled_from(MAGNITUDES))
+@example(rows=[(0.25, 0.5 + i % 7, TrialLabel(("target", "spoof")[i % 2]))
+               for i in range(200)], scale_sv=1.0, scale_cm=1.0)
+def test_fit_logreg_reaches_the_optimum_of_its_objective(rows, scale_sv, scale_cm):
+    s_sv, s_cm, labels = _fit_data(rows, scale_sv, scale_cm)
+    fitted = baselines.fit_logreg(s_sv, s_cm, labels)
+    # the objective's columns: each scaled by the power of two that brings
+    # its max |value| into [0.5, 1), its weight by the inverse
+    shift = [math.frexp(float(np.abs(col).max()))[1] for col in (s_sv, s_cm)]
+    with mpmath.workdps(50):
+        x = [[mpmath.ldexp(mpmath.mpf(float(value)), -k) for value in col]
+             for col, k in zip((s_sv, s_cm), shift)]
+        y = [int(lab is TrialLabel.TARGET) for lab in labels]
+        v = [mpmath.ldexp(mpmath.mpf(float(w)), k) for w, k in zip(fitted.weight, shift)]
+        v.append(mpmath.mpf(fitted.bias))
+        at_fit, grad = _mp_objective(x, y, v)
+        assert max(abs(g) for g in grad) <= baselines.LOGREG_TOL + 1e-14
+        # no move of one coordinate lowers J
+        for k in range(3):
+            for h in (-1e-3, 1e-3):
+                moved = list(v)
+                moved[k] += h
+                assert _mp_objective(x, y, moved)[0] >= at_fit, (k, h)
+
+
+def _outcome(s_sv, s_cm, labels):
+    """A fit's weights and bias, or the NumericError it raised."""
+    try:
+        fitted = baselines.fit_logreg(s_sv, s_cm, labels)
+    except NumericError as exc:
+        return str(exc)
+    return fitted.weight, fitted.bias
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(rows=LOGREG_ROWS, scale_sv=st.sampled_from(MAGNITUDES),
+       scale_cm=st.sampled_from(MAGNITUDES), a=st.integers(-64, 64),
+       b=st.integers(-64, 64))
+def test_fit_logreg_scales_its_weights_with_a_power_of_two_scaling_of_a_score(
+        rows, scale_sv, scale_cm, a, b):
+    s_sv, s_cm, labels = _fit_data(rows, scale_sv, scale_cm)
+    with np.errstate(over="ignore"):
+        scaled_sv, scaled_cm = np.ldexp(s_sv, a), np.ldexp(s_cm, b)
+    if not (np.array_equal(np.ldexp(scaled_sv, -a), s_sv)
+            and np.array_equal(np.ldexp(scaled_cm, -b), s_cm)):
+        return  # the scaling over- or underflowed somewhere: it is not exact
+    plain = _outcome(s_sv, s_cm, labels)
+    scaled = _outcome(scaled_sv, scaled_cm, labels)
+    if isinstance(plain, str):
+        assert scaled == plain
+        return
+    with np.errstate(over="ignore"):
+        weight = np.ldexp(plain[0], [-a, -b])
+    if not np.all(np.isfinite(weight)):
+        assert scaled == "logreg weight overflows at the scale of its scores"
+        return
+    assert scaled[0].tobytes() == weight.tobytes()
+    assert np.float64(scaled[1]).tobytes() == np.float64(plain[1]).tobytes()
+
+
+_THREADS_FIT = """
+import numpy as np
+from sasv.baselines import fit_logreg
+from sasv.core import TrialLabel
+rng = np.random.default_rng(0)
+n = 10_001  # above the length at which OpenBLAS splits a dot between threads
+k = rng.integers(0, 3, n)
+labels = [list(TrialLabel)[i] for i in k]
+s_sv = rng.normal(0.0, 0.3, n) + 0.5 * (k == 0)
+s_cm = rng.normal(0.0, 2.0, n) + 4.0 * (k != 2)
+fitted = fit_logreg(s_sv, s_cm, labels)
+print(fitted.weight.tobytes().hex(), np.float64(fitted.bias).tobytes().hex())
+"""
+
+
+def test_fit_logreg_bits_do_not_depend_on_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(baselines.__file__)))
+    bits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _THREADS_FIT], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        bits.append(run.stdout)
+    assert bits[0] == bits[1]
 
 
 def test_logreg_needs_both_classes():

@@ -273,22 +273,39 @@ def test_sum_with_a_missing_dev_protocol_exits_2(workspace, tmp_path, capsys):
     assert not (tmp_path / "b").exists()  # a failed run writes nothing
 
 
-@pytest.mark.parametrize("scale", [1e300, 1e307])
-def test_a_logreg_gradient_whose_square_overflows_exits_3(workspace, tmp_path, capsys,
-                                                          scale):
-    # finite CM scores so large that Adam's second moment would overflow and
-    # silently freeze the CM weight
+def _logreg_args(data, table, out):
+    return ["baseline", "--kind", "logreg", "--sv-emb", str(data / "sv_embeddings.tsv"),
+            "--cm-scores", str(table), "--dev-protocol", str(data / "dev_protocol.tsv"),
+            "--eval-protocol", str(data / "eval_protocol.tsv"), "--out", str(out)]
+
+
+def test_a_logreg_fit_on_cm_scores_near_the_float_limit_fuses_the_same(workspace, tmp_path):
+    # the fit scales each score column by a power of two first, so CM scores
+    # times 2**996 (about 3e299) fit to a CM weight 2**-996 times smaller and
+    # the same fused scores, bit for bit
     data = workspace["data"]
     table = _cm_table(data, tmp_path / "cm_scores.tsv")
-    table.write_text("".join(f"{utt}\t{float(value) * scale!r}\n" for utt, value in
-                             (line.split("\t") for line in table.read_text().splitlines())))
+    huge = tmp_path / "cm_huge.tsv"
+    huge.write_text("".join(f"{utt}\t{float(value) * 2.0**996!r}\n" for utt, value in
+                            (line.split("\t") for line in table.read_text().splitlines())))
+    assert _run(_logreg_args(data, table, tmp_path / "plain")) == 0
+    assert _run(_logreg_args(data, huge, tmp_path / "huge")) == 0
+    plain, scaled = (load_scores(str(tmp_path / run / "scores.csv")) for run in ("plain", "huge"))
+    assert scaled.s_sasv.tobytes() == plain.s_sasv.tobytes()
+    weights = [load_checkpoint(str(tmp_path / run / "baseline.ckpt")).arrays["weight"]
+               for run in ("plain", "huge")]
+    assert weights[1].tolist() == [weights[0][0], weights[0][1] * 2.0**-996]
+
+
+def test_a_logreg_fit_that_does_not_converge_exits_3(workspace, tmp_path, capsys,
+                                                     monkeypatch):
+    data = workspace["data"]
+    table = _cm_table(data, tmp_path / "cm_scores.tsv")
+    monkeypatch.setattr(baselines, "LOGREG_MAX_STEPS", 1)
     capsys.readouterr()
-    assert _run(["baseline", "--kind", "logreg", "--sv-emb", str(data / "sv_embeddings.tsv"),
-                 "--cm-scores", str(table), "--dev-protocol", str(data / "dev_protocol.tsv"),
-                 "--eval-protocol", str(data / "eval_protocol.tsv"),
-                 "--out", str(tmp_path / "b")]) == 3
-    assert capsys.readouterr().err == (
-        "sasv: numeric error: non-finite gradient at flat index 1 (or its square)\n")
+    assert _run(_logreg_args(data, table, tmp_path / "b")) == 3
+    assert capsys.readouterr().err.startswith(
+        "sasv: numeric error: logreg fit did not converge in 1 Newton steps")
     assert not (tmp_path / "b").exists()
 
 

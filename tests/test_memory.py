@@ -6,7 +6,8 @@ so its peak stays near its result plus a few of those. The peak is measured
 with `tracemalloc`, started after the inputs are built; NumPy reports its
 array buffers to it. Each bound lies between the peak measured with the
 whole-protocol copies (the first figure in its comment) and without them
-(the second), on NumPy 2.4 with OpenBLAS.
+(the second), on NumPy 2.4 with OpenBLAS. A block of `sv_scores` holds a
+fixed count of values, not of rows, so a wide store's blocks are no larger.
 """
 
 from __future__ import annotations
@@ -46,8 +47,20 @@ def test_sv_scores_gather_each_block():
     rows = TrialRows(rng.integers(0, 1000, n), rng.integers(0, 1000, n), None)
     scores, peak = _peak(lambda: sv_scores(rows, sv))
     assert scores.shape == (n,)
-    # 28.9 MiB with two [N, D] copies, 6.5 MiB gathered per 4,096-row block
+    # 28.9 MiB with two [N, D] copies, 6.5 MiB gathered per 4,096-row block,
+    # 3.4 MiB per 65,536-value block
     assert peak < 12 * MIB, peak / MIB
+
+
+def test_sv_scores_blocks_hold_a_fixed_count_of_values():
+    rng = np.random.default_rng(5)
+    n, dim = 28_800, 192  # the large config's train trials and SV width
+    _, sv, _ = _stores(1000, dim, rng)
+    rows = TrialRows(rng.integers(0, 1000, n), rng.integers(0, 1000, n), None)
+    scores, peak = _peak(lambda: sv_scores(rows, sv))
+    assert scores.shape == (n,)
+    # 36.3 MiB in blocks of 4,096 rows, 3.3 MiB in blocks of 65,536 values
+    assert peak < 8 * MIB, peak / MIB
 
 
 def test_spoof_scores_gather_each_chunk():
