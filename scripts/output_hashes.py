@@ -19,6 +19,9 @@ runs, in a temporary directory and against the `sasv` package under --src
 - `baseline` `sum`, `cascade` and `logreg` with a CM score table (`--cm-scores`)
   made of the first value of each row of the CM embedding file, and `sum` again
   without `--dev-protocol`, so the hashes cover both of its paths;
+- a third `synth` at 200 speakers, 20+20 utts, seed 5, and `baseline` `cascade`
+  on it with the `cm_only` model and with a CM score table made as above: its
+  2,400 dev trials take every level of the cascade sweep up to 12;
 - `gradcheck --seeds 3`;
 
 so the hashes cover every CSV writer: `scores.csv`, `eer_report.csv`,
@@ -96,6 +99,21 @@ def run_pipeline(src: str, work: str) -> None:
               "--out", os.path.join(work, f"baseline_table_{kind}"))
     _sasv(src, "baseline", "--kind", "sum", "--sv-emb", stores[1], "--cm-scores", table,
           "--eval-protocol", eval_protocol, "--out", os.path.join(work, "baseline_table_sum_eval"))
+    wide = os.path.join(work, "data_wide")
+    _sasv(src, "synth", "--speakers", "200", "--utts", "20", "--spoofs", "20",
+          "--seed", "5", "--out", wide)
+    wide_table = os.path.join(work, "cm_scores_wide.tsv")
+    _first_values(os.path.join(wide, "cm_embeddings.tsv"), wide_table)
+    wide_sv = os.path.join(wide, "sv_embeddings.tsv")
+    wide_protocols = ["--dev-protocol", os.path.join(wide, "dev_protocol.tsv"),
+                      "--eval-protocol", os.path.join(wide, "eval_protocol.tsv")]
+    _sasv(src, "baseline", "--kind", "cascade", "--sv-emb", wide_sv,
+          "--cm-emb", os.path.join(wide, "cm_embeddings.tsv"),
+          "--cm-model", os.path.join(work, "train_cm_only", "model.ckpt"),
+          *wide_protocols, "--out", os.path.join(work, "baseline_wide_cascade"))
+    _sasv(src, "baseline", "--kind", "cascade", "--sv-emb", wide_sv,
+          "--cm-scores", wide_table, *wide_protocols,
+          "--out", os.path.join(work, "baseline_wide_table_cascade"))
     _sasv(src, "gradcheck", "--seeds", "3", "--out", os.path.join(work, "gradcheck"))
 
 

@@ -85,6 +85,10 @@ def _fit_inputs(s_sv, s_cm, labels: list[TrialLabel], kind: str):
     """The scores as float arrays and the target mask, checked for a fit."""
     s_sv = np.asarray(s_sv, dtype=np.float64)
     s_cm = np.asarray(s_cm, dtype=np.float64)
+    if s_sv.ndim != 1 or s_cm.shape != s_sv.shape or len(labels) != s_sv.size:
+        raise DataError(f"fit_{kind} needs two 1-D score columns of one score per "
+                        f"label, got shapes {s_sv.shape} and {s_cm.shape} for "
+                        f"{len(labels)} labels")
     is_target = target_mask(labels, f"{kind} fitting")
     if not (np.all(np.isfinite(s_sv)) and np.all(np.isfinite(s_cm))):
         raise NumericError(f"non-finite score passed to fit_{kind}")
@@ -124,60 +128,72 @@ def _gated_prefix_eers(s_sv, group, n_groups: int, is_target) -> np.ndarray:
 
     Every prefix is scored on one grid: the distinct s_sv and CASCADE_FLOOR,
     then the terminal point. At a grid value no score takes, the rates equal
-    those of the next value, so the first grid index with far - frr <= 0 and
-    the one before it hold the rates eer interpolates between. Gating a trial
-    lowers far - frr above the floor and raises it at and below it, so that
-    index moves right while it lies at or below the floor, then only left (it
-    never lies there when no s_sv is below the floor): one pointer, moved in
-    O(1) steps, finds it for every prefix.
+    those of the next value, so the first grid index j with far - frr <= 0
+    and the one before it hold the rates eer interpolates between. Weigh each
+    target n_neg and each negative n_pos: far - frr <= 0 at grid[j] exactly
+    when the scored trials below grid[j] weigh at least C = n_pos * n_neg.
+    The integer test gives the float one's answer while n_pos * n_neg < 2**52,
+    as two distinct rates then differ by more than the float spacing in
+    [0, 1]. So grid[j - 1] is the weighted quantile C of the prefix's scores:
+    the trials of groups >= k at their own s_sv, and the gated trials' weight
+    at the floor. A wavelet matrix over the grid indices of the trials in
+    group order answers every prefix's query at once, each a range query over
+    its passing trials, one bit of the grid index per level from the top;
+    each level is built, walked and dropped in turn, so the sweep holds O(N)
+    memory and takes O(N log N) time.
     """
     grid, at = np.unique(np.append(s_sv, CASCADE_FLOOR), return_inverse=True)
     floor, at = int(at[-1]), at[:-1]
-    n_pos = int(is_target.sum())
-    n_neg = is_target.size - n_pos
-    # passing trials per grid value
-    pos_at = np.bincount(at[is_target], minlength=grid.size).tolist()
-    neg_at = np.bincount(at[~is_target], minlength=grid.size).tolist()
+    n = is_target.size
+    n_pos = int(np.count_nonzero(is_target))
+    n_neg = n - n_pos
+    # in group order, prefix k gates the trials before start[k], gated_pos of
+    # them targets, and passes the rest
     order = np.argsort(group, kind="stable")
-    ends = np.cumsum(np.bincount(group, minlength=n_groups)).tolist()
-    gated_at, gated_pos = at[order].tolist(), is_target[order].tolist()
+    value, target = at[order], is_target[order]
+    start = np.concatenate(([0], np.cumsum(np.bincount(group, minlength=n_groups))))
+    gated, gated_pos = start, np.concatenate(([0], np.cumsum(target)))[start]
 
-    # the pointer j, the passing targets below grid[j] and the passing
-    # negatives at or above it, and the gated trials of each class
-    j, below, above, gated_p, gated_n = 0, 0, n_neg, 0, 0
-
-    def rates(j, below, above):
-        return ((below + (gated_p if j > floor else 0)) / n_pos,
-                (above + (gated_n if j <= floor else 0)) / n_neg)
-
-    eers = []
-    start = 0
-    for k in range(n_groups + 1):
-        while True:
-            frr, far = rates(j, below, above)
-            if far - frr > 0.0:  # the crossing lies to the right
-                below, above, j = below + pos_at[j], above - neg_at[j], j + 1
-                continue
-            frr_prev, far_prev = rates(j - 1, below - pos_at[j - 1],
-                                       above + neg_at[j - 1])
-            if far_prev - frr_prev > 0.0:
-                break
-            below, above, j = below - pos_at[j - 1], above + neg_at[j - 1], j - 1
-        eers.append(eer_at_crossing(frr_prev, far_prev, frr, far)[0])
-        if k == n_groups:
-            break
-        for i in range(start, ends[k]):
-            s = gated_at[i]
-            if gated_pos[i]:
-                pos_at[s] -= 1
-                gated_p += 1
-                below -= s < j
-            else:
-                neg_at[s] -= 1
-                gated_n += 1
-                above -= s >= j
-        start = ends[k]
-    return np.array(eers)
+    # per prefix: its passing trials' range [lo, hi) in the level's order, the
+    # weight still to reach, the targets and trials below the node the walk
+    # is at, and whether the floor lies in that node
+    lo, hi = start.copy(), np.full(start.size, n)
+    rest = np.full(start.size, n_pos * n_neg)
+    below_pos, below = np.zeros_like(start), np.zeros_like(start)
+    in_floor = np.ones(start.size, bool)
+    for bit in reversed(range((grid.size - 1).bit_length())):
+        zero = (value >> bit) & 1 == 0
+        zeros_to = np.concatenate(([0], np.cumsum(zero)))
+        zero_pos_to = np.concatenate(([0], np.cumsum(zero & target)))
+        zero_lo, zero_hi = zeros_to[lo], zeros_to[hi]
+        # the node's half with this bit 0, the floor's weight in it if there
+        left_pos = zero_pos_to[hi] - zero_pos_to[lo]
+        left_all = zero_hi - zero_lo
+        floor_right = bool((floor >> bit) & 1)
+        if not floor_right:
+            left_pos += gated_pos * in_floor
+            left_all += gated * in_floor
+        left_weight = n_neg * left_pos + n_pos * (left_all - left_pos)
+        right = left_weight < rest
+        rest -= left_weight * right
+        below_pos += left_pos * right
+        below += left_all * right
+        in_floor &= right == floor_right
+        n_zero = zeros_to[-1]
+        lo = np.where(right, lo - zero_lo + n_zero, zero_lo)
+        hi = np.where(right, hi - zero_hi + n_zero, zero_hi)
+        # the next level's order: this level's zeros, then its ones, each stable
+        perm = np.concatenate((np.flatnonzero(zero), np.flatnonzero(~zero)))
+        value, target = value[perm], target[perm]
+    # the trials at the answer grid[j - 1]: those left in the range, and the
+    # gated ones if it is the floor
+    pos_to = np.concatenate(([0], np.cumsum(target)))
+    at_pos = pos_to[hi] - pos_to[lo] + gated_pos * in_floor
+    at_all = hi - lo + gated * in_floor
+    below_neg = below - below_pos
+    upto_pos, upto_neg = below_pos + at_pos, below_neg + at_all - at_pos
+    return eer_at_crossing(below_pos / n_pos, (n_neg - below_neg) / n_neg,
+                           upto_pos / n_pos, (n_neg - upto_neg) / n_neg)[0]
 
 
 @dataclass

@@ -11,8 +11,7 @@ import math
 import operator
 import re
 from array import array
-from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial
 from itertools import repeat
@@ -66,14 +65,17 @@ class TrialLabel(Enum):
         return self.value
 
 
-def target_mask(labels, role: str) -> np.ndarray:
-    """Which of the labels are TARGET; `role` names them in the DataError
-    raised unless they hold a target and a nontarget or spoof."""
-    mask = np.fromiter(map(operator.is_, labels, repeat(TrialLabel.TARGET)), bool,
-                       len(labels))
+def _two_class_mask(mask: np.ndarray, role: str) -> np.ndarray:
     if mask.all() or not mask.any():
         raise DataError(f"{role} needs at least one target and one nontarget/spoof trial")
     return mask
+
+
+def target_mask(labels, role: str) -> np.ndarray:
+    """Which of the labels are TARGET; `role` names them in the DataError
+    raised unless they hold a target and a nontarget or spoof."""
+    return _two_class_mask(np.fromiter(map(operator.is_, labels, repeat(TrialLabel.TARGET)),
+                                       bool, len(labels)), role)
 
 
 class Trial(NamedTuple):
@@ -93,17 +95,51 @@ class ScoreRecord(NamedTuple):
     s_sasv: float
 
 
+class IdColumn(NamedTuple):
+    """One id column of a protocol, factorized: the distinct ids in order of
+    first appearance, and each trial's int32 position among them."""
+
+    ids: list[str]
+    at: np.ndarray
+
+    @classmethod
+    def of(cls, ids: list[str]) -> "IdColumn":
+        distinct = list(dict.fromkeys(ids))
+        index = dict(zip(distinct, range(len(distinct))))
+        return cls(distinct, np.fromiter(map(index.__getitem__, ids), np.int32, len(ids)))
+
+
 @dataclass
 class Protocol:
+    """Trials in file order. Construction derives, once, what the stages read
+    per trial: `codes`, each label's int8 position in TrialLabel (0 target,
+    1 nontarget, 2 spoof), and the `enroll` and `test` id columns factorized."""
+
     trials: list[Trial]
     name: str = ""
+    codes: np.ndarray = field(init=False, compare=False, repr=False)
+    enroll: IdColumn = field(init=False, compare=False, repr=False)
+    test: IdColumn = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        enroll_ids, test_ids, labels = (list(map(operator.itemgetter(i), self.trials))
+                                        for i in range(3))
+        n = len(labels)
+        self.codes = np.full(n, 2, np.int8)  # spoof, unless one of these
+        for code, label in enumerate((TrialLabel.TARGET, TrialLabel.NONTARGET)):
+            self.codes[np.fromiter(map(operator.is_, labels, repeat(label)), bool, n)] = code
+        self.enroll, self.test = IdColumn.of(enroll_ids), IdColumn.of(test_ids)
 
     def __len__(self) -> int:
         return len(self.trials)
 
     def counts(self) -> dict[TrialLabel, int]:
-        counted = Counter(map(operator.attrgetter("label"), self.trials))
-        return {label: counted[label] for label in TrialLabel}
+        counted = np.bincount(self.codes, minlength=len(TrialLabel)).tolist()
+        return dict(zip(TrialLabel, counted))
+
+    def target_mask(self, role: str) -> np.ndarray:
+        """`target_mask` of the trials' labels, read from the codes."""
+        return _two_class_mask(self.codes == 0, role)
 
 
 SCORE_FIELDS = ("s_sv", "s_spf", "s_sasv")
@@ -405,9 +441,11 @@ def save_protocol(protocol: Protocol, path: str) -> None:
             fh.write(f"{t.enroll_id}\t{t.test_id}\t{t.label}\n")
 
 
-def _resolve(store: EmbeddingStore, ids: list[str]) -> np.ndarray:
-    """The store row of each id, -1 where it has none, made in C."""
-    return np.fromiter(map(store.index.get, ids, repeat(-1)), np.intp, len(ids))
+def _resolve(store: EmbeddingStore, column: IdColumn) -> np.ndarray:
+    """The store row of each trial's id, -1 where it has none: each distinct
+    id is looked up once, in C, and the rows expanded by the trial index."""
+    rows = np.fromiter(map(store.index.get, column.ids, repeat(-1)), np.intp, len(column.ids))
+    return rows[column.at]
 
 
 def check_protocol_ids(protocol: Protocol, sv_store: EmbeddingStore,
@@ -415,18 +453,16 @@ def check_protocol_ids(protocol: Protocol, sv_store: EmbeddingStore,
     """Resolve every trial to store rows: enroll in the SV store, test in the
     SV and CM stores. The first id that does not resolve, in trial order and
     within a trial in that order, is a DataError."""
-    trials = protocol.trials
-    test_ids = [t.test_id for t in trials]
-    enroll = _resolve(sv_store, [t.enroll_id for t in trials])
-    test = _resolve(sv_store, test_ids)
+    enroll = _resolve(sv_store, protocol.enroll)
+    test = _resolve(sv_store, protocol.test)
     test_cm = None
     missing = (enroll < 0) | (test < 0)
     if cm_store is not None:
-        test_cm = _resolve(cm_store, test_ids)
+        test_cm = _resolve(cm_store, protocol.test)
         missing |= test_cm < 0
     if missing.any():
         idx = int(np.argmax(missing))
-        t = trials[idx]
+        t = protocol.trials[idx]
         what, store = ((f"enroll id {t.enroll_id!r}", "sv") if enroll[idx] < 0
                        else (f"test id {t.test_id!r}", "sv" if test[idx] < 0 else "cm"))
         raise DataError(f"trial {idx + 1}: {what} missing from {store} store")

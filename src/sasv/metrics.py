@@ -70,7 +70,7 @@ def eer(positive_scores, negative_scores) -> EerResult:
     diff = far - frr  # monotone non-increasing; diff[0] = 1
     idx = int(np.argmax(diff <= 0.0))
     rate, t = eer_at_crossing(frr[idx - 1], far[idx - 1], frr[idx], far[idx])
-    if t is None:
+    if far[idx] == frr[idx]:  # a sweep point crosses exactly: no interpolation
         return EerResult(float(rate), float(thresholds[idx]))
     threshold = thresholds[idx - 1] + t * (thresholds[idx] - thresholds[idx - 1])
     return EerResult(float(rate), float(threshold))
@@ -79,14 +79,13 @@ def eer(positive_scores, negative_scores) -> EerResult:
 def eer_at_crossing(frr_prev, far_prev, frr_next, far_next):
     """The EER between two adjacent sweep points, the first with far > frr
     and the next with far <= frr, and the interpolation weight of the next
-    point (None when it crosses exactly, so the EER is its own rate)."""
+    point; where that point crosses exactly (far == frr) the EER is its own
+    rate and the weight 1. Elementwise over arrays of such pairs."""
     d_prev, d_next = far_prev - frr_prev, far_next - frr_next
-    if d_next == 0.0:
-        return far_next, None
     t = d_prev / (d_prev - d_next)
     eer_frr = frr_prev + t * (frr_next - frr_prev)
     eer_far = far_prev + t * (far_next - far_prev)
-    return 0.5 * (eer_frr + eer_far), t
+    return np.where(d_next == 0.0, far_next, 0.5 * (eer_frr + eer_far)), t
 
 
 def sasv_report(table: ScoreTable, score_field: str = "s_sasv") -> EerReport:
@@ -100,10 +99,7 @@ def sasv_report(table: ScoreTable, score_field: str = "s_sasv") -> EerReport:
         raise DataError(f"score field must be one of {SCORE_FIELDS}, got {score_field!r}")
     if not len(table):
         raise DataError("cannot report on an empty score table")
-    # each trial's class, 0 target, 1 nontarget or 2 spoof, in one pass
-    target, nontarget = TrialLabel.TARGET, TrialLabel.NONTARGET
-    code = np.fromiter((0 if t.label is target else 1 if t.label is nontarget else 2
-                        for t in table.protocol.trials), dtype=np.int8, count=len(table))
+    code = table.protocol.codes  # 0 target, 1 nontarget, 2 spoof
     values = getattr(table, score_field)
     tar, non, spf = (values[code == k] for k in range(3))
     if tar.size == 0:

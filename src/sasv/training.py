@@ -18,8 +18,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .core import (DataError, EmbeddingStore, NumericError, Protocol, TrialRows,
-                   check_int_fields, check_protocol_ids, is_integer, sv_scores,
-                   target_mask)
+                   check_int_fields, check_protocol_ids, is_integer, sv_scores)
 from .loss import OneClassSoftmaxConfig
 from .metrics import sasv_report, write_csv
 from .model import HIDDEN_SIZES, InputMode, IntegrationModel, score_protocol
@@ -119,8 +118,8 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
 def train(model: IntegrationModel, sv_store: EmbeddingStore, cm_store: EmbeddingStore,
           train_protocol: Protocol, dev_protocol: Protocol, cfg: TrainConfig,
           loss_cfg: OneClassSoftmaxConfig) -> TrainResult:
-    is_target = target_mask([t.label for t in train_protocol.trials], "train protocol")
-    target_mask([t.label for t in dev_protocol.trials], "dev protocol")
+    is_target = train_protocol.target_mask("train protocol")
+    dev_protocol.target_mask("dev protocol")
     rows = check_protocol_ids(train_protocol, sv_store, cm_store)
     enroll, test, test_cm = rows
     check_protocol_ids(dev_protocol, sv_store, cm_store)

@@ -8,6 +8,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+import reference_cascade as reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -175,6 +176,52 @@ def test_fit_cascade_rejects_non_finite_scores():
                 fit([0.9, 0.2, 0.8, 0.1], [bad, 1.0, 0.3, -1.0], labels)
             with pytest.raises(NumericError, match=message):
                 fit([bad, 0.2, 0.8, 0.1], [0.5, 1.0, 0.3, -1.0], labels)
+
+
+def test_fits_refuse_score_columns_that_do_not_match_the_labels():
+    labels = [TrialLabel.TARGET, TrialLabel.SPOOF]
+    for fit in (baselines.fit_cascade, baselines.fit_logreg):
+        for s_sv, s_cm, fit_labels in (([0.1, 0.2, 0.3], [1.0, 2.0, 3.0], labels),
+                                       ([0.1, 0.2], [1.0, 2.0, 3.0], labels),
+                                       ([0.1, 0.2, 0.3], [1.0, 2.0], labels + labels[:1]),
+                                       ([[0.1, 0.2]], [[1.0, 2.0]], labels),
+                                       (0.1, 1.0, labels[:1])):
+            with pytest.raises(DataError, match=f"^fit_{fit.__name__[4:]} needs two 1-D"):
+                fit(s_sv, s_cm, fit_labels)
+
+
+def _sweep_case(rng, n, n_groups, s_sv):
+    """Trials in n_groups CM groups, each drawn by some trial; the trials of
+    the lowest third of the groups are spoofs, the rest a target or a
+    nontarget each. The sweep's arguments, as fit_cascade makes them."""
+    group = rng.permutation(np.concatenate(
+        [np.arange(n_groups), rng.integers(0, n_groups, n - n_groups)]))
+    s_cm = np.sort(rng.normal(size=n_groups))[group]
+    code = np.where(group < n_groups // 3, 2, rng.integers(0, 2, n))  # 0 is a target
+    distinct, group = np.unique(s_cm, return_inverse=True)
+    return s_sv(rng, code), group, distinct.size, code == 0
+
+
+@pytest.mark.parametrize("n,n_groups,s_sv", [
+    # the fusion dev set's shape, every s_sv distinct: 14 levels
+    (9600, 6400, lambda rng, code: rng.normal(np.where(code == 1, 0.0, 0.6), 0.25)),
+    # a coarse grid: scores tie across labels and groups
+    (3000, 700, lambda rng, code: rng.integers(-4, 9, code.size) / 8.0),
+    # at and below CASCADE_FLOOR, where gating moves the crossing right
+    (2000, 1500, lambda rng, code: np.where(
+        rng.random(code.size) < 0.2, baselines.CASCADE_FLOOR,
+        rng.normal(np.where(code == 0, -1.0, -2.5), 1.0))),
+    # one CM group: the only prefixes gate nothing or everything
+    (1000, 1, lambda rng, code: rng.normal(np.where(code == 0, 0.5, 0.0), 0.3)),
+])
+def test_gated_prefix_eers_equal_the_pointer_walk(n, n_groups, s_sv):
+    s_sv, group, n_groups, is_target = _sweep_case(np.random.default_rng(n), n, n_groups,
+                                                   s_sv)
+    if n == 9600:
+        assert np.unique(s_sv).size == n and n_groups == 6400
+    swept = baselines._gated_prefix_eers(s_sv, group, n_groups, is_target)
+    walked = reference.gated_prefix_eers(s_sv, group, n_groups, is_target)
+    assert swept.dtype == walked.dtype and swept.tobytes() == walked.tobytes()
 
 
 def test_logreg_separates_and_orients():

@@ -8,6 +8,8 @@ array buffers to it. Each bound lies between the peak measured with the
 whole-protocol copies (the first figure in its comment) and without them
 (the second), on NumPy 2.4 with OpenBLAS. A block of `sv_scores` holds a
 fixed count of values, not of rows, so a wide store's blocks are no larger.
+The cascade fit's sweep holds O(N) memory: each level of its wavelet matrix
+is built, walked and dropped in turn.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import tracemalloc
 
 import numpy as np
 
+from sasv.baselines import fit_cascade
 from sasv.core import EmbeddingStore, Protocol, Trial, TrialLabel, TrialRows, sv_scores
 from sasv.loss import OneClassSoftmaxConfig
 from sasv.model import InputMode, IntegrationModel, spoof_scores_for
@@ -95,3 +98,20 @@ def test_training_gathers_each_batch():
     assert len(result.history) == 1
     # 94.9 MiB with the inputs and the SV rows copied whole, 24.8 MiB per batch
     assert peak < copy, (peak / MIB, copy / MIB)
+
+
+def test_fit_cascade_sweep_holds_no_grid_by_group_table():
+    rng = np.random.default_rng(6)
+    n, n_groups = 50_000, 30_000  # every s_sv distinct: a 50,001-value grid
+    group = rng.permutation(np.concatenate(
+        [np.arange(n_groups), rng.integers(0, n_groups, n - n_groups)]))
+    s_cm = np.sort(rng.normal(size=n_groups))[group]
+    code = np.where(group < n_groups // 3, 2, rng.integers(0, 2, n))
+    labels = [list(TrialLabel)[c] for c in code.tolist()]
+    s_sv = rng.normal(np.where(code == 1, 0.0, 0.6), 0.25)
+    table = (n + 1) * n_groups * 8  # grid values x CM groups, float64: 11.2 GiB
+    tau, peak = _peak(lambda: fit_cascade(s_sv, s_cm, labels))
+    assert np.isfinite(tau)
+    # 8.3 MiB for the pointer walk's per-grid-value lists, 11.5 MiB for the
+    # vectorized walk (one level of the wavelet matrix at a time)
+    assert peak < 24 * MIB < table, peak / MIB

@@ -3,8 +3,9 @@
 A trial's scores must depend on that trial alone, whatever other trials share
 its protocol; the CM scores of a model source must equal the spoofing scores
 of protocol scoring; ids must resolve to the rows, or fail at the first
-missing id, that a per-trial loop gives, and the target mask and the label
-counts must be those of per-trial loops; any id a store accepts must survive
+missing id, that a per-trial loop gives, a protocol's label codes and
+factorized id columns must give back each trial, and the target mask and the
+label counts must be those of per-trial loops; any id a store accepts must survive
 a save and load; a store built from all of its rows must hold what the
 per-row reference store holds after adding them one by one, or fail where it
 first fails; and the bulk embedding loader must load what the line-by-line
@@ -165,6 +166,39 @@ def test_check_protocol_ids_equals_the_per_trial_loop(pairs, sv_ids, cm_ids):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+@settings(PROPERTY, max_examples=300)
+@given(trials=st.lists(st.tuples(st.sampled_from(UTTERANCES), st.sampled_from(UTTERANCES),
+                                 st.sampled_from(LABELS)), max_size=12),
+       sv_ids=STORE_IDS, cm_ids=st.none() | STORE_IDS)
+# a test id missing in trials 5 and 2: trial 2 is named
+@example(trials=[("a", "a", LABELS[0]), ("a", "e", LABELS[1]), ("b", "a", LABELS[2]),
+                 ("a", "b", LABELS[0]), ("b", "e", LABELS[0])],
+         sv_ids=["a", "b"], cm_ids=None)
+# an enrollment id missing in trial 3, a test id in trial 1: trial 1 is named
+@example(trials=[("a", "c", LABELS[0]), ("a", "a", LABELS[1]), ("c", "a", LABELS[0])],
+         sv_ids=["a", "b"], cm_ids=["a", "b"])
+# a test id in the SV store but not the CM store: the cm store is named
+@example(trials=[("a", "a", LABELS[2]), ("a", "b", LABELS[1])],
+         sv_ids=["a", "b"], cm_ids=["a"])
+def test_protocol_columns_reproduce_every_trial(trials, sv_ids, cm_ids):
+    """The label codes and the factorized id columns give back each trial, the
+    distinct ids in order of first appearance; resolving ids through them
+    fails, if at all, with the per-trial loop's message."""
+    protocol = Protocol([Trial(*t) for t in trials])
+    assert protocol.codes.dtype == np.int8
+    assert protocol.codes.tolist() == [LABELS.index(t[2]) for t in trials]
+    for column, ids in ((protocol.enroll, [t[0] for t in trials]),
+                        (protocol.test, [t[1] for t in trials])):
+        assert column.at.dtype == np.int32 and column.at.shape == (len(trials),)
+        assert column.ids == sorted(set(ids), key=ids.index)
+        assert [column.ids[i] for i in column.at.tolist()] == ids
+    sv = EmbeddingStore("sv", sv_ids, np.ones((len(sv_ids), 2)))
+    cm = None if cm_ids is None else EmbeddingStore("cm", cm_ids, np.ones((len(cm_ids), 1)))
+    got = _resolution(check_protocol_ids, protocol, sv, cm)
+    want = _resolution(_per_trial_check_protocol_ids, protocol, sv, cm)
+    assert got == want if isinstance(want, str) else isinstance(got, TrialRows)
+
+
 def _per_trial_target_mask(labels) -> np.ndarray:
     """`target_mask`'s mask as it was made before: one comparison per label."""
     return np.array([lab is TrialLabel.TARGET for lab in labels], dtype=bool)
@@ -182,17 +216,19 @@ def _per_trial_counts(protocol) -> dict[TrialLabel, int]:
 @given(labels=st.lists(st.sampled_from(LABELS), max_size=40))
 @example(labels=[])
 def test_target_mask_and_counts_equal_the_per_trial_loops(labels):
-    """The same counts, in label order, and the same mask or the same refusal."""
+    """The same counts, in label order, and the same mask or the same refusal,
+    from the labels and from the protocol's codes."""
     protocol = Protocol([Trial("e", "t", label) for label in labels])
     got, want = protocol.counts(), _per_trial_counts(protocol)
     assert list(got.items()) == list(want.items())
     mask = _per_trial_target_mask(labels)
-    if mask.all() or not mask.any():
-        with pytest.raises(DataError, match="^x needs at least one target"):
-            target_mask(labels, "x")
-    else:
-        got_mask = target_mask(labels, "x")
-        assert got_mask.dtype == mask.dtype and np.array_equal(got_mask, mask)
+    for masked in (lambda: target_mask(labels, "x"), lambda: protocol.target_mask("x")):
+        if mask.all() or not mask.any():
+            with pytest.raises(DataError, match="^x needs at least one target"):
+                masked()
+        else:
+            got_mask = masked()
+            assert got_mask.dtype == mask.dtype and np.array_equal(got_mask, mask)
 
 
 @PROPERTY
